@@ -64,6 +64,7 @@ int main() {
   mopts.seed = 7;
   mopts.obs.metrics = &obs::global_metrics();
   opts.murphy = mopts;
+  bench::stamp_murphy_options(mopts);
 
   core::MurphyDiagnoser murphy(mopts);
   baselines::SageOptions sopts;

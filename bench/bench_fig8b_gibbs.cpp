@@ -200,76 +200,83 @@ int main() {
               "and saturates near W=4 (cyclic effects are real and Gibbs "
               "re-visits propagate them)\n");
 
-  // --- scalar vs fast Gibbs kernel (DESIGN.md §11) --------------------------
-  // The Gibbs resample loop is where Murphy spends ~97% of end-to-end time.
-  // Two microbenches: the normal generator alone (the ~60-cycle scalar
-  // floor PR 3 identified vs the batched ziggurat), then full counterfactual
-  // evaluations over this dataset's scenarios in both modes.
+  // --- inference kernel vs reference (DESIGN.md §5.1) -----------------------
+  // The counterfactual Gibbs loop is where Murphy spends nearly all of a
+  // cache-hot diagnosis. Two microbenches: the normal generators alone (the
+  // reference's polar Rng::normal vs the kernel's batched ziggurat), then
+  // full counterfactual evaluations over this dataset's scenarios through
+  // the kernel and through the resample_path reference.
   {
-    std::printf("scalar vs fast inference kernels:\n");
+    std::printf("inference kernel vs reference:\n");
     constexpr std::size_t kDraws = 4'000'000;
-    Rng scalar_rng(42), fast_rng(42);
+    Rng polar_rng(42), zig_rng(42);
     double sink = 0.0;
     const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kDraws; ++i) sink += scalar_rng.normal();
+    for (std::size_t i = 0; i < kDraws; ++i) sink += polar_rng.normal();
     const auto t1 = std::chrono::steady_clock::now();
     std::vector<double> block(256);
     for (std::size_t i = 0; i < kDraws; i += block.size()) {
-      fast_rng.fill_normal(block);
+      zig_rng.fill_normal(block);
       sink += block[0];
     }
     const auto t2 = std::chrono::steady_clock::now();
     const auto ms = [](auto a, auto b) {
       return std::chrono::duration<double, std::milli>(b - a).count();
     };
-    const double scalar_rate = kDraws / ms(t0, t1) / 1e3;  // Mdraws/s
-    const double fast_rate = kDraws / ms(t1, t2) / 1e3;
-    std::printf("  normal draws: scalar polar %.1f Mdraws/s, batched "
-                "ziggurat %.1f Mdraws/s (%.2fx)  [sink %g]\n",
-                scalar_rate, fast_rate, fast_rate / scalar_rate, sink);
+    const double polar_rate = kDraws / ms(t0, t1) / 1e3;  // Mdraws/s
+    const double zig_rate = kDraws / ms(t1, t2) / 1e3;
+    std::printf("  normal draws: polar %.1f Mdraws/s, batched ziggurat "
+                "%.1f Mdraws/s (%.2fx)  [sink %g]\n",
+                polar_rate, zig_rate, zig_rate / polar_rate, sink);
 
-    // Full kernel: evaluate flow -> backend-VM counterfactuals per scenario.
-    double eval_ms[2] = {0.0, 0.0};
-    std::size_t agree = 0, evals = 0;
-    std::vector<bool> scalar_verdicts;
-    for (const bool fast : {false, true}) {
-      std::size_t vi = 0;
-      for (const auto& s : scenarios) {
-        core::SamplerOptions sopts;
-        sopts.num_samples = bench::scaled(150, 500);
-        sopts.fast_inference = fast;
-        core::CounterfactualSampler sampler(s.graph, *s.space, *s.factors,
-                                            sopts);
-        const auto state = s.space->snapshot(topo.db, s.t1);
-        Rng rng(mix_seed(1234, vi));
-        const auto q_node = s.space->var(s.q_var).node;
-        const auto f_node = s.space->var(s.flow_vars[0]).node;
-        const auto b0 = std::chrono::steady_clock::now();
-        const auto verdict =
-            sampler.evaluate(f_node, s.flow_vars[0], q_node, s.q_var, state,
-                             true, rng);
-        eval_ms[fast ? 1 : 0] += ms(b0, std::chrono::steady_clock::now());
-        if (!fast) {
-          scalar_verdicts.push_back(verdict.is_root_cause);
-        } else {
-          ++evals;
-          if (verdict.is_root_cause == scalar_verdicts[vi]) ++agree;
-        }
-        ++vi;
-      }
+    // Full evaluate: flow -> backend-VM counterfactuals per scenario, in
+    // node resamples (draw work) per second.
+    double eval_ms[2] = {0.0, 0.0};  // [kernel, reference]
+    std::size_t resamples = 0, agree = 0;
+    std::size_t vi = 0;
+    for (const auto& s : scenarios) {
+      core::SamplerOptions sopts;
+      sopts.num_samples = bench::scaled(150, 500);
+      core::CounterfactualSampler sampler(s.graph, *s.space, *s.factors,
+                                          sopts);
+      const auto state = s.space->snapshot(topo.db, s.t1);
+      const auto q_node = s.space->var(s.q_var).node;
+      const auto f_node = s.space->var(s.flow_vars[0]).node;
+      Rng kernel_rng(mix_seed(1234, vi)), reference_rng(mix_seed(1234, vi));
+      const auto b0 = std::chrono::steady_clock::now();
+      const auto k = sampler.evaluate(f_node, s.flow_vars[0], q_node,
+                                      s.q_var, state, true, kernel_rng);
+      const auto b1 = std::chrono::steady_clock::now();
+      const auto r = sampler.evaluate_reference(
+          f_node, s.flow_vars[0], q_node, s.q_var, state, true,
+          reference_rng);
+      const auto b2 = std::chrono::steady_clock::now();
+      eval_ms[0] += ms(b0, b1);
+      eval_ms[1] += ms(b1, b2);
+      resamples += k.node_resamples;
+      if (k.is_root_cause == r.is_root_cause) ++agree;
+      ++vi;
     }
+    // Mresamples/s: node_resamples per microsecond.
+    const auto rate = [&](double t) {
+      return t > 0.0 ? static_cast<double>(resamples) / t / 1e3 : 0.0;
+    };
+    const double kernel_rate = rate(eval_ms[0]);
+    const double reference_rate = rate(eval_ms[1]);
     const double kernel_speedup =
-        eval_ms[1] > 0.0 ? eval_ms[0] / eval_ms[1] : 0.0;
-    std::printf("  gibbs evaluate: scalar %.1f ms, fast %.1f ms (%.2fx), "
-                "verdict agreement %zu/%zu\n\n",
-                eval_ms[0], eval_ms[1], kernel_speedup, agree, evals);
+        reference_rate > 0.0 ? kernel_rate / reference_rate : 0.0;
+    std::printf("  gibbs evaluate: kernel %.2f Mresamples/s (%.1f ms), "
+                "reference %.2f Mresamples/s (%.1f ms), %.2fx; verdict "
+                "agreement %zu/%zu\n\n",
+                kernel_rate, eval_ms[0], reference_rate, eval_ms[1],
+                kernel_speedup, agree, vi);
 
     auto* m = &obs::global_metrics();
-    m->gauge("bench.normal_scalar_mdraws_s")->set(scalar_rate);
-    m->gauge("bench.normal_fast_mdraws_s")->set(fast_rate);
-    m->gauge("bench.gibbs_scalar_ms")->set(eval_ms[0]);
-    m->gauge("bench.gibbs_fast_ms")->set(eval_ms[1]);
-    m->gauge("bench.gibbs_fast_speedup")->set(kernel_speedup);
+    m->gauge("bench.normal_polar_mdraws_s")->set(polar_rate);
+    m->gauge("bench.normal_ziggurat_mdraws_s")->set(zig_rate);
+    m->gauge("bench.gibbs_kernel_mresamples_s")->set(kernel_rate);
+    m->gauge("bench.gibbs_reference_mresamples_s")->set(reference_rate);
+    m->gauge("bench.gibbs_kernel_speedup")->set(kernel_speedup);
     m->gauge("bench.gibbs_verdict_agree")->set(static_cast<double>(agree));
   }
 

@@ -88,9 +88,10 @@ void BM_CounterfactualEvaluation(benchmark::State& state) {
   sopts.gibbs_rounds = rounds;
   sopts.num_samples = 100;
   core::CounterfactualSampler sampler(graph, space, factors, sopts);
+  Rng rng(1);
   for (auto _ : state) {
     auto verdict = sampler.evaluate(cand, cand_var, sym, sym_var, state_vec,
-                                    true);
+                                    true, rng);
     benchmark::DoNotOptimize(verdict);
   }
   state.counters["W"] = static_cast<double>(rounds);

@@ -97,57 +97,6 @@ int main() {
               "netmedic/explainit at comparable recall (paper: 4.7x / 6.6x); "
               "schemes' recall within a similar band (paper: 0.53-0.56)\n");
 
-  // --- scalar vs fast inference (DESIGN.md §11) ----------------------------
-  // Re-runs Murphy alone over the 13 incidents in both modes and reports the
-  // per-phase split. Inference is ~97% of end-to-end time, so this is where
-  // the vectorized kernel must show up; the modes' verdict agreement is
-  // gated separately by bench_fast_equivalence.
-  std::printf("\nscalar vs fast counterfactual inference (murphy only):\n");
-  double infer_ms[2] = {0.0, 0.0};
-  double total_ms[2] = {0.0, 0.0};
-  std::size_t top1_agree = 0;
-  std::vector<EntityId> scalar_top1(dataset.size(), EntityId(0));
-  for (const bool fast : {false, true}) {
-    core::MurphyOptions mopts = schemes.murphy->options();
-    mopts.fast_inference = fast;
-    core::MurphyDiagnoser murphy(mopts);
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      const auto r = murphy.diagnose(eval::request_for(dataset[i]));
-      infer_ms[fast ? 1 : 0] += r.timings.inference_ms;
-      total_ms[fast ? 1 : 0] += r.timings.total_ms;
-      const EntityId top1 = r.causes.empty() ? EntityId(0)
-                                             : r.causes.front().entity;
-      if (!fast)
-        scalar_top1[i] = top1;
-      else if (top1 == scalar_top1[i])
-        ++top1_agree;
-    }
-  }
-  const double infer_speedup = infer_ms[1] > 0.0 ? infer_ms[0] / infer_ms[1]
-                                                 : 0.0;
-  const double total_speedup = total_ms[1] > 0.0 ? total_ms[0] / total_ms[1]
-                                                 : 0.0;
-  eval::Table fast_table({"mode", "phase.inference_ms", "total_ms"});
-  fast_table.add_row({"scalar", format_double(infer_ms[0], 1),
-                      format_double(total_ms[0], 1)});
-  fast_table.add_row({"fast_inference", format_double(infer_ms[1], 1),
-                      format_double(total_ms[1], 1)});
-  fast_table.add_row({"speedup", format_double(infer_speedup, 2) + "x",
-                      format_double(total_speedup, 2) + "x"});
-  std::printf("%s", fast_table.render().c_str());
-  std::printf("top-1 agreement: %zu/%zu incidents "
-              "(gate: bench_fast_equivalence)\n",
-              top1_agree, dataset.size());
-
-  auto* m = &obs::global_metrics();
-  m->gauge("bench.scalar_inference_ms")->set(infer_ms[0]);
-  m->gauge("bench.fast_inference_ms")->set(infer_ms[1]);
-  m->gauge("bench.fast_inference_speedup")->set(infer_speedup);
-  m->gauge("bench.scalar_total_ms")->set(total_ms[0]);
-  m->gauge("bench.fast_total_ms")->set(total_ms[1]);
-  m->gauge("bench.fast_total_speedup")->set(total_speedup);
-  m->gauge("bench.fast_top1_agree")->set(static_cast<double>(top1_agree));
-
   murphy::bench::write_bench_json("table1_incidents");
   return 0;
 }

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,13 +38,16 @@ inline std::size_t scaled(std::size_t quick, std::size_t full) {
   return full_scale() ? full : quick;
 }
 
-// MURPHY_FAST_INFERENCE=1 runs every make_schemes() Murphy instance with the
-// vectorized counterfactual kernel (MurphyOptions::fast_inference). The mode
-// is stamped into the BENCH_*.json header alongside num_threads/build_flags
-// so fast and scalar baselines can never be silently compared.
-inline bool fast_inference_env() {
-  const char* env = std::getenv("MURPHY_FAST_INFERENCE");
-  return env != nullptr && std::string(env) == "1";
+// Threads the measured Murphy instances resolved to. make_schemes() records
+// it, as do benches that build their own MurphyOptions, so the BENCH header
+// stamps the configuration that ran rather than the host's core count.
+inline std::optional<std::size_t>& ran_num_threads() {
+  static std::optional<std::size_t> threads;
+  return threads;
+}
+
+inline void stamp_murphy_options(const core::MurphyOptions& mopts) {
+  ran_num_threads() = resolve_num_threads(mopts.num_threads);
 }
 
 struct SchemeSet {
@@ -64,9 +68,9 @@ inline SchemeSet make_schemes(std::uint64_t seed = 1) {
   SchemeSet s;
   core::MurphyOptions mopts;
   mopts.sampler.num_samples = full_scale() ? 500 : 150;
-  mopts.fast_inference = fast_inference_env();
   mopts.seed = seed;
   mopts.obs.metrics = &obs::global_metrics();
+  stamp_murphy_options(mopts);
   s.murphy = std::make_unique<core::MurphyDiagnoser>(mopts);
   baselines::SageOptions sopts;
   sopts.seed = seed;
@@ -135,8 +139,9 @@ inline std::string workloads_json() {
 // timing histograms) as BENCH_<name>.json next to the binary's cwd, so runs
 // are machine-readable in addition to the stdout tables. Each snapshot is
 // stamped with the measurement's provenance: git SHA, build flags, and the
-// thread count the process would resolve for parallel phases — numbers
-// without that context can't be compared across machines or commits.
+// thread count the measured Murphy instances ran with (null when the bench
+// stamped no MurphyOptions) — numbers without that context can't be
+// compared across machines or commits.
 inline void write_bench_json(const char* name) {
   const std::string path = std::string("BENCH_") + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -152,12 +157,7 @@ inline void write_bench_json(const char* name) {
   out += ",\"build_flags\":";
   obs::json_append_escaped(out, MURPHY_BUILD_FLAGS);
   out += ",\"num_threads\":";
-  out += std::to_string(resolve_num_threads(0));
-  // Inference-mode knobs: snapshots from different modes are not comparable
-  // (fast mode trades the bitwise contract for throughput), so the header
-  // carries the mode next to the other provenance fields.
-  out += ",\"fast_inference\":";
-  out += fast_inference_env() ? "true" : "false";
+  out += ran_num_threads() ? std::to_string(*ran_num_threads()) : "null";
   if (!workload_stamps().empty()) {
     out += ",\"workloads\":";
     out += workloads_json();

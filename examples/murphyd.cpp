@@ -45,7 +45,6 @@
 //           --unix PATH (unix-domain listener)
 //           --net-inflight N --net-max-conns N (per-connection/server caps)
 //           --watchdog --marker-every N --audit-out FILE
-//           --fast-inference (vectorized counterfactual kernel, DESIGN.md §11)
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -85,7 +84,6 @@ struct Args {
   std::size_t net_inflight = 32;
   std::size_t net_max_conns = 64;
   bool watchdog = false;
-  bool fast_inference = false;
   std::size_t marker_every = 0;  // 0 = MARKERS verb only
   std::string audit_out;         // incident-linked diagnosis audits (JSONL)
 };
@@ -159,8 +157,6 @@ Args parse_args(int argc, char** argv) {
       if (a.net_max_conns == 0) usage_error(flag, "must be >= 1");
     } else if (flag == "--watchdog") {
       a.watchdog = true;
-    } else if (flag == "--fast-inference") {
-      a.fast_inference = true;
     } else if (flag == "--marker-every") {
       a.marker_every = count_arg(flag, next());
     } else if (flag == "--audit-out") {
@@ -214,9 +210,6 @@ int main(int argc, char** argv) {
   sopts.num_workers = args.workers;
   sopts.max_queue = args.queue;
   sopts.murphy.num_threads = 1;  // concurrency comes from the worker pool
-  // Vectorized counterfactual inference (statistical-equivalence contract;
-  // audits and the infer.fast_path counter record the mode per verdict).
-  sopts.murphy.fast_inference = args.fast_inference;
   sopts.murphy.obs.metrics = &obs::global_metrics();
   sopts.murphy.obs.collect_audit = !args.audit_out.empty();
   service::DiagnosisService svc(stream, sopts);

@@ -21,10 +21,11 @@ when everything selected matches exactly, 1 on any difference, 2 on usage
 or parse errors.
 
 --rel-tol R admits numeric values within relative tolerance R
-(|a-b| <= R * max(|a|, |b|)): fast-inference runs are statistically, not
-bitwise, equivalent, so CI gates their timing/score metrics approximately
-while a second exact invocation (no --rel-tol) still guards the
-deterministic prefixes. Default 0.0 = exact comparison.
+(|a-b| <= R * max(|a|, |b|)): gauges derived from floating-point scores
+(the equivalence gate's t-test p-value) drift by ulps across compilers and
+libm, so CI gates them approximately while a second exact invocation (no
+--rel-tol) still guards the deterministic prefixes. Default 0.0 = exact
+comparison.
 """
 import json
 import sys

@@ -45,9 +45,10 @@ namespace {
 
 // 128-layer ziggurat tables for the standard normal (Marsaglia & Tsang,
 // Doornik's formulation). Computed once at first use; the values depend on
-// libm's exp/log/sqrt, which is fine — fill_normal backs the fast-inference
-// mode whose contract is statistical equivalence, not cross-platform bitwise
-// identity (that remains Rng::normal()'s job).
+// libm's exp/log/sqrt, which is fine — fill_normal backs the inference
+// kernel, whose contract with the reference sampler is statistical
+// equivalence; its bitwise determinism holds per platform (same seed and
+// options, any thread count), not across libm versions.
 struct ZigguratTables {
   static constexpr int kLayers = 128;
   static constexpr double kR = 3.442619855899;       // rightmost layer edge

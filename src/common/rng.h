@@ -93,16 +93,16 @@ class Rng {
   // Exponential with the given rate (mean 1/rate). Requires rate > 0.
   [[nodiscard]] double exponential(double rate);
 
-  // Batched standard-normal fill for the fast-inference path: writes
+  // Batched standard-normal fill for the inference kernel: writes
   // out.size() independent N(0,1) draws with contiguous stores, via a
   // 128-layer ziggurat over this xoshiro256** stream (~1 generator step, one
   // table compare and one multiply per draw on the ~97.7% common path —
   // several-fold cheaper than the ~60-cycle polar normal() above). The
   // sequence is a pure function of the stream state and the total number of
   // draws: fill_normal(64) twice produces the same values as one
-  // fill_normal(128). It is a DIFFERENT stream from normal() — the scalar
-  // polar method stays untouched as the bitwise-determinism golden, and
-  // callers opt into this one through fast_inference modes only.
+  // fill_normal(128). It is a DIFFERENT stream from normal(): the polar
+  // method stays what every other caller (simulation, stochastic fits, the
+  // reference sampler) draws from.
   void fill_normal(std::span<double> out);
   // Bernoulli trial with probability p of true.
   [[nodiscard]] bool chance(double p) { return uniform() < p; }

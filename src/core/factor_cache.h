@@ -52,7 +52,6 @@ struct CachedFactor {
   double hist_sigma = 0.0;
   double robust_center = 0.0;
   double robust_sigma = 0.0;
-  double training_mase = 0.0;
   std::size_t considered = 0;  // candidates scored before top-B pruning
 };
 

@@ -36,9 +36,7 @@ double MetricConditional::predict(std::span<const double> state) const {
 
 double MetricConditional::sample(std::span<const double> state,
                                  Rng& rng) const {
-  const double mu = predict(state);
-  const double sigma = model_ ? model_->residual_sigma() : hist_sigma_;
-  return mu + sigma * rng.normal();
+  return predict(state) + residual_sigma() * rng.normal();
 }
 
 FactorSet::FactorSet(const telemetry::MonitoringDb& db,
@@ -181,16 +179,6 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       } else {
         model->fit(x, y);
       }
-
-      // Training-error MASE for the Fig. 8a comparison.
-      std::vector<double> preds(n_rows);
-      std::vector<double> row(features.size());
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        for (std::size_t c = 0; c < features.size(); ++c)
-          row[c] = x.at(r, c);
-        preds[r] = model->predict(row);
-      }
-      cf.training_mase = stats::mase(preds, y);
     }
 
     cf.features.reserve(features.size());
@@ -207,7 +195,6 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       fit_span.arg("features",
                    static_cast<std::uint64_t>(cf.features.size()));
       fit_span.arg("rows", static_cast<std::uint64_t>(n_rows));
-      fit_span.arg("mase", cf.training_mase);
     }
     return cf;
   };
@@ -223,7 +210,6 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     }
     auto cond = std::make_unique<MetricConditional>(
         target, std::move(features), cf.model, cf.hist_mean, cf.hist_sigma);
-    cond->set_training_mase(cf.training_mase);
     cond->set_robust(cf.robust_center, cf.robust_sigma);
 
     if (c_pruned != nullptr && cf.considered > cf.features.size())
@@ -314,10 +300,7 @@ void FactorSet::build_kernel() {
   kernel_.vars.assign(n, {});
   kernel_.mean.assign(n, 0.0);
   kernel_.feat.clear();
-  kernel_.w.clear();
-  kernel_.fscale.clear();
   kernel_.wdiv.clear();
-  kernel_.flat_count = 0;
   // Tracks which variables already have their shared mean pinned by an
   // earlier conditional. The serial ascending-v order makes the build
   // deterministic.
@@ -332,19 +315,19 @@ void FactorSet::build_kernel() {
       // a model exists, the historical sigma otherwise.
       e.flat = true;
       e.base = c.hist_mean();
-      e.sigma = m != nullptr ? m->residual_sigma() : c.hist_sigma();
-      ++kernel_.flat_count;
+      e.sigma = c.residual_sigma();
       continue;
     }
-    if (m->kind() != stats::ModelKind::kRidge) continue;  // fallback path
+    if (m->kind() != stats::ModelKind::kRidge) continue;  // stays non-flat
     const auto* r = static_cast<const stats::RidgeRegression*>(m);
     const stats::Vector& fm = r->feature_means();
     const stats::Vector& fs = r->feature_scales();
     // A shared centered entry is only valid if every conditional derives the
     // exact same mean for the feature. fit_weighted() guarantees this (its
     // column statistics depend only on the row weights, which are a function
-    // of the window length alone) — verify bitwise and fall back rather
-    // than trust it.
+    // of the window length alone) — verify bitwise and leave the
+    // conditional non-flat (its candidates draw through the reference)
+    // rather than trust it.
     const auto same_bits = [](double a, double b) {
       return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
     };
@@ -372,11 +355,8 @@ void FactorSet::build_kernel() {
     e.count = static_cast<std::uint32_t>(features.size());
     for (std::size_t j = 0; j < features.size(); ++j) {
       kernel_.feat.push_back(static_cast<std::uint32_t>(features[j]));
-      kernel_.w.push_back(w[j]);
-      kernel_.fscale.push_back(fs[j]);
       kernel_.wdiv.push_back(w[j] / fs[j]);
     }
-    ++kernel_.flat_count;
   }
 }
 

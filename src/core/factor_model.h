@@ -57,12 +57,11 @@ class MetricConditional {
     robust_center_ = center;
     robust_sigma_ = sigma;
   }
+  // Sampling stddev: the model's residual sigma, or the historical sigma
+  // when the variable had no usable features.
   [[nodiscard]] double residual_sigma() const {
-    return model_->residual_sigma();
+    return model_ ? model_->residual_sigma() : hist_sigma_;
   }
-  // Training prediction error, for the Fig. 8a model comparison (MASE).
-  [[nodiscard]] double training_mase() const { return training_mase_; }
-  void set_training_mase(double m) { training_mase_ = m; }
 
   // The fitted model (nullptr when the variable had no usable features).
   // Exposed so FactorSet can flatten ridge conditionals into its sampling
@@ -77,7 +76,6 @@ class MetricConditional {
   double hist_sigma_;
   double robust_center_ = 0.0;
   double robust_sigma_ = 0.0;
-  double training_mase_ = 0.0;
 };
 
 struct FactorTrainingOptions {
@@ -138,43 +136,37 @@ struct FactorTrainingOptions {
 };
 
 // Flattened, allocation-free view of the trained conditionals, built once
-// after training for the Gibbs sampler's inner loop.
+// after training for the inference kernel (CounterfactualSampler).
 //
 // Ridge is the one model family whose predict() is a fixed arithmetic form,
 //   mu = base + sum_j (w[j] * (x[j] - mean[j])) / scale[j],
 // and because fit_weighted() computes each column's weighted mean with
 // weights that depend only on the row index (never on the target), every
 // conditional that uses variable f as a feature derives the bitwise-
-// identical mean for it. The subtraction is therefore shareable: the
-// sampler keeps one centered vector c[v] = state[v] - mean[v], updated once
-// per write, and the flattened predict performs exactly the multiply,
-// divide and add sequence of MetricConditional::predict — minus the virtual
-// dispatch, the feature-gather copy and the repeated subtractions.
+// identical mean for it. The subtraction is therefore shareable: the kernel
+// keeps one centered value c[v] = state[v] - mean[v] per variable and
+// evaluates mu = base + sum_j wdiv[j] * c[f[j]] with the division folded
+// into the weight — one FMA per slot, rounding differently from predict()
+// (the kernel's contract with the reference is statistical, DESIGN.md §5.1).
 // Conditionals that cannot be flattened (non-ridge models, or a bitwise
-// mean mismatch, which build_kernel() checks defensively) fall back to the
-// virtual path; both paths keep work[] and c[] coherent.
+// mean mismatch, which build_kernel() checks defensively) stay non-flat;
+// candidates whose path touches one draw through the reference instead.
 struct SampleKernel {
   struct VarEntry {
-    std::uint32_t begin = 0;  // offset into feat/w/fscale
+    std::uint32_t begin = 0;  // offset into feat/wdiv
     std::uint32_t count = 0;
-    bool flat = false;        // false -> use MetricConditional::sample
+    bool flat = false;        // false -> the kernel cannot draw this var
     double base = 0.0;        // intercept (y_mean, or hist_mean if no model)
     double sigma = 0.0;       // sampling stddev (residual or historical)
   };
   std::vector<VarEntry> vars;
   std::vector<std::uint32_t> feat;  // feature VarIndex, contiguous per var
-  std::vector<double> w;            // standardized-space weight per slot
-  std::vector<double> fscale;       // feature scale per slot
-  // Pre-divided weights w[k]/fscale[k], folded once at build_kernel() time
-  // for the fast-inference SoA kernel: one FMA per slot instead of a
-  // multiply + divide. NOT used by the scalar path — (w * c) / s and
-  // (w / s) * c round differently, and the scalar stream is the bitwise
-  // golden.
+  // Pre-divided weight w[k] / scale[k] per slot (standardized-space ridge
+  // weight over the feature's scale), folded once at build_kernel() time.
   std::vector<double> wdiv;
   // Shared per-variable centering; 0 for variables that never appear as a
   // feature of a flattened conditional.
   std::vector<double> mean;
-  std::size_t flat_count = 0;  // vars flattened (diagnostics/tests)
 };
 
 // The MRF: one MetricConditional per variable, trained online.
@@ -202,25 +194,6 @@ class FactorSet {
   // Centered value of raw metric value x for variable v.
   [[nodiscard]] double center(VarIndex v, double x) const {
     return x - kernel_.mean[v];
-  }
-
-  // Draws variable v given the current raw state (`work`) and its centered
-  // mirror (`c`). Bit-identical to conditional(v).sample(work, rng); the
-  // flattened path just skips the virtual dispatch, the feature-gather copy
-  // and the per-feature mean subtractions.
-  [[nodiscard]] double kernel_sample(VarIndex v, std::span<const double> work,
-                                     std::span<const double> c,
-                                     Rng& rng) const {
-    const SampleKernel::VarEntry& e = kernel_.vars[v];
-    if (e.flat) [[likely]] {
-      double mu = e.base;
-      const std::uint32_t* f = kernel_.feat.data() + e.begin;
-      const double* w = kernel_.w.data() + e.begin;
-      const double* s = kernel_.fscale.data() + e.begin;
-      for (std::uint32_t k = 0; k < e.count; ++k) mu += w[k] * c[f[k]] / s[k];
-      return mu + e.sigma * rng.normal();
-    }
-    return conditionals_[v]->sample(work, rng);
   }
 
  private:

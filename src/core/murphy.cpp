@@ -37,6 +37,11 @@ TimeIndex recent_config_window_begin(TimeIndex train_begin,
   return now > window ? now - window : 0;  // clamp, TimeIndex is unsigned
 }
 
+std::uint64_t candidate_stream_seed(std::uint64_t seed,
+                                   graph::NodeIndex node) {
+  return mix_seed(seed ^ 0x5EEDULL, node);
+}
+
 MurphyDiagnoser::MurphyDiagnoser(MurphyOptions opts) : opts_(opts) {}
 
 DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
@@ -138,10 +143,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   // whole diagnosis — bitwise identical at every thread count.
   obs::Span infer_span(hooks.tracer, "counterfactual_inference");
   const std::uint64_t infer_span_id = infer_span.id();
-  SamplerOptions smp = opts_.sampler;
-  smp.seed = opts_.seed ^ 0x5EEDULL;
-  smp.fast_inference = opts_.fast_inference;
-  CounterfactualSampler sampler(graph, space, factors, smp);
+  CounterfactualSampler sampler(graph, space, factors, opts_.sampler);
   // One backward BFS from the symptom, shared by every candidate's
   // shortest-path-subgraph computation in the parallel loop below.
   sampler.prepare(*symptom_node);
@@ -150,23 +152,12 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   obs::Counter* c_accepted = nullptr;
   obs::Counter* c_resamples = nullptr;
   obs::Counter* c_kernel_cells = nullptr;
-  obs::Counter* c_fast = nullptr;
-  obs::Counter* c_fast_fallback = nullptr;
   obs::Histogram* h_pvalue = nullptr;
   if (hooks.metrics != nullptr) {
     c_evaluated = hooks.metrics->counter("infer.candidates_evaluated");
     c_accepted = hooks.metrics->counter("infer.candidates_accepted");
     c_resamples = hooks.metrics->counter("infer.gibbs_node_resamples");
     c_kernel_cells = hooks.metrics->counter("infer.kernel_cells");
-    // Mode provenance: which path produced the verdicts. fast_path counts
-    // lane-batched evaluations; fast_fallback counts candidates that
-    // requested fast mode but fell back to the scalar loop (non-flattened
-    // conditionals on the resample path). Both stay 0 in scalar mode, so a
-    // snapshot always records which mode it came from.
-    if (opts_.fast_inference) {
-      c_fast = hooks.metrics->counter("infer.fast_path");
-      c_fast_fallback = hooks.metrics->counter("infer.fast_fallback");
-    }
     h_pvalue = hooks.metrics->histogram(
         "infer.p_value", {0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0});
   }
@@ -216,7 +207,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
       if (self_accepted && c_accepted != nullptr) c_accepted->add(1);
       return;
     }
-    Rng rng(mix_seed(smp.seed, cand));
+    Rng rng(candidate_stream_seed(opts_.seed, cand));
     const auto verdict =
         sampler.evaluate(cand, anomaly.driver, *symptom_node, *symptom_var,
                          state, symptom_high, rng);
@@ -232,7 +223,6 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
       aud->counterfactual_delta =
           verdict.mean_counterfactual - verdict.mean_factual;
       aud->path_len = verdict.path_len;
-      aud->fast_path = verdict.fast_path;
     }
     if (cand_span.enabled()) {
       cand_span.arg("p_value", verdict.p_value);
@@ -240,11 +230,6 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     }
     if (c_resamples != nullptr) c_resamples->add(verdict.node_resamples);
     if (c_kernel_cells != nullptr) c_kernel_cells->add(verdict.kernel_cells);
-    if (verdict.fast_path) {
-      if (c_fast != nullptr) c_fast->add(1);
-    } else if (c_fast_fallback != nullptr && verdict.path_len > 0) {
-      c_fast_fallback->add(1);
-    }
     if (h_pvalue != nullptr && verdict.path_len > 0)
       h_pvalue->observe(verdict.p_value);
     if (verdict.is_root_cause && c_accepted != nullptr) c_accepted->add(1);

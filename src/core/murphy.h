@@ -29,15 +29,6 @@ struct MurphyOptions {
   // Maximum nodes in the relationship graph (§4.1's safety valve).
   std::size_t max_graph_nodes = 100000;
   std::uint64_t seed = 1;
-  // Opt-in vectorized counterfactual inference (DESIGN.md §11): batches each
-  // candidate's independent Gibbs chains into SIMD-width lanes over an SoA
-  // state fed by the batched ziggurat generator. Off by default — the scalar
-  // path remains the bitwise-determinism golden; the fast mode's contract is
-  // statistical equivalence (same verdicts/rankings, t-test-indistinguishable
-  // scores), validated by bench_fast_equivalence. Still deterministic for a
-  // fixed (seed, options) at any thread count. Mirrored into
-  // SamplerOptions::fast_inference at diagnose time.
-  bool fast_inference = false;
   // Threads for the parallel phases (factor training, per-candidate
   // counterfactual evaluation, per-symptom batch diagnosis). 0 = one per
   // hardware core, 1 = the legacy serial path. The diagnosis output is
@@ -68,6 +59,12 @@ struct MurphyOptions {
 [[nodiscard]] TimeIndex recent_config_window_begin(TimeIndex train_begin,
                                                    TimeIndex train_end,
                                                    TimeIndex now);
+
+// Seed of the RNG stream diagnose() hands candidate `node`'s counterfactual
+// test (MurphyOptions::seed as `seed`): one independent stream per
+// candidate, so a verdict never depends on evaluation order or thread count.
+[[nodiscard]] std::uint64_t candidate_stream_seed(std::uint64_t seed,
+                                                  graph::NodeIndex node);
 
 class MurphyDiagnoser final : public Diagnoser {
  public:

@@ -1,7 +1,6 @@
 #include "src/core/sampler.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/stats/ttest.h"
 #include "src/stats/summary.h"
@@ -14,8 +13,7 @@ CounterfactualSampler::CounterfactualSampler(
     : graph_(graph),
       space_(space),
       factors_(factors),
-      opts_(opts),
-      rng_(opts.seed) {}
+      opts_(opts) {}
 
 void CounterfactualSampler::prepare(graph::NodeIndex dst) {
   dist_to_ = graph_.distances_to(dst);
@@ -32,13 +30,7 @@ double CounterfactualSampler::resample_path(
   return state[d_var];
 }
 
-CounterfactualVerdict CounterfactualSampler::evaluate(
-    graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
-    std::span<const double> state, bool symptom_high) {
-  return evaluate(a, a_var, d, d_var, state, symptom_high, rng_);
-}
-
-bool CounterfactualSampler::evaluate_fast(
+bool CounterfactualSampler::run_kernel(
     std::span<const VarIndex> order, VarIndex a_var, VarIndex d_var,
     std::span<const double> cent0, double cent_a_cf, Rng& rng,
     std::vector<double>& d1, std::vector<double>& d2) const {
@@ -145,6 +137,21 @@ bool CounterfactualSampler::evaluate_fast(
 CounterfactualVerdict CounterfactualSampler::evaluate(
     graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
     std::span<const double> state, bool symptom_high, Rng& rng) const {
+  return evaluate_impl(a, a_var, d, d_var, state, symptom_high, rng,
+                       /*reference=*/false);
+}
+
+CounterfactualVerdict CounterfactualSampler::evaluate_reference(
+    graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
+    std::span<const double> state, bool symptom_high, Rng& rng) const {
+  return evaluate_impl(a, a_var, d, d_var, state, symptom_high, rng,
+                       /*reference=*/true);
+}
+
+CounterfactualVerdict CounterfactualSampler::evaluate_impl(
+    graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
+    std::span<const double> state, bool symptom_high, Rng& rng,
+    bool reference) const {
   CounterfactualVerdict verdict;
   if (a == d) return verdict;
 
@@ -171,16 +178,8 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
   const double a_cf =
       a_now + direction * opts_.counterfactual_sigmas * sigma;
 
-  // The inner loop below is the engine's hottest code (hundreds of millions
-  // of variable draws per batch run). It is equivalent draw-for-draw to
-  // resample_path() over a fresh copy of `state` per sample, but
-  //  - the resampling order is flattened once into `order` (vars of
-  //    path[1..], the candidate's own vars stay pinned),
-  //  - conditionals are drawn through FactorSet::kernel_sample over the
-  //    shared standardized z-state (see SampleKernel),
-  //  - instead of re-copying the full state per sample, only the variables
-  //    this path actually writes (`order` + a_var) are restored,
-  // none of which changes a single draw or FP operation.
+  // The resampling order, flattened once: the vars of path[1..] (the
+  // candidate's own vars stay pinned).
   thread_local std::vector<VarIndex> order;
   order.clear();
   for (std::size_t i = 1; i < path.size(); ++i)
@@ -192,62 +191,35 @@ CounterfactualVerdict CounterfactualSampler::evaluate(
   verdict.kernel_cells =
       2 * opts_.num_samples * opts_.gibbs_rounds * cells_per_round;
 
-  const std::size_t n_vars = state.size();
-  thread_local std::vector<double> work, cent, cent0, d1, d2;
-  work.assign(state.begin(), state.end());
-  cent.resize(n_vars);
-  for (VarIndex v = 0; v < n_vars; ++v)
-    cent[v] = factors_.center(v, state[v]);
-  cent0.assign(cent.begin(), cent.end());
-  const double a_cf_c = factors_.center(a_var, a_cf);
-
+  thread_local std::vector<double> cent0, d1, d2;
   d1.clear();
   d2.clear();
   d1.reserve(opts_.num_samples);
   d2.reserve(opts_.num_samples);
 
-  // Opt-in vectorized path: lane-batch the independent chains over an SoA
-  // state. Statistically equivalent, not bitwise (see SamplerOptions); the
-  // work accounting above is shared, so both modes report identical
-  // node_resamples/kernel_cells for the same request. Falls back per
-  // candidate when the path touches a non-flattened conditional.
-  if (opts_.fast_inference &&
-      evaluate_fast(order, a_var, d_var, cent0, a_cf_c, rng, d1, d2)) {
-    verdict.fast_path = true;
-    const auto t = stats::welch_t_test(d1, d2);
-    verdict.p_value = symptom_high ? t.p_less : 1.0 - t.p_less;
-    verdict.is_root_cause = verdict.p_value < opts_.significance;
-    verdict.mean_counterfactual = stats::mean(d1);
-    verdict.mean_factual = stats::mean(d2);
-    return verdict;
+  bool drawn = false;
+  if (!reference) {
+    const std::size_t n_vars = state.size();
+    cent0.resize(n_vars);
+    for (VarIndex v = 0; v < n_vars; ++v)
+      cent0[v] = factors_.center(v, state[v]);
+    drawn = run_kernel(order, a_var, d_var, cent0,
+                       factors_.center(a_var, a_cf), rng, d1, d2);
   }
-
-  const std::size_t rounds = opts_.gibbs_rounds;
-  auto run_side = [&](double a_start, double a_start_c,
-                      std::vector<double>& out) {
-    work[a_var] = a_start;
-    cent[a_var] = a_start_c;
-    for (std::size_t round = 0; round < rounds; ++round) {
-      for (const VarIndex v : order) {
-        const double val = factors_.kernel_sample(v, work, cent, rng);
-        work[v] = val;
-        cent[v] = factors_.center(v, val);
+  if (!drawn) {
+    // Reference draws: every sample resamples a fresh copy of the state,
+    // counterfactual start then factual start (same resampling, so the two
+    // distributions are comparable).
+    thread_local std::vector<double> work;
+    for (std::size_t s = 0; s < opts_.num_samples; ++s) {
+      for (const bool counterfactual : {true, false}) {
+        work.assign(state.begin(), state.end());
+        work[a_var] = counterfactual ? a_cf : a_now;
+        (counterfactual ? d1 : d2)
+            .push_back(resample_path(path, d_var, work, rng,
+                                     opts_.gibbs_rounds));
       }
     }
-    out.push_back(work[d_var]);
-    for (const VarIndex v : order) {
-      work[v] = state[v];
-      cent[v] = cent0[v];
-    }
-    work[a_var] = state[a_var];
-    cent[a_var] = cent0[a_var];
-  };
-
-  for (std::size_t s = 0; s < opts_.num_samples; ++s) {
-    // Counterfactual start, then factual start (same resampling so the
-    // distributions are comparable).
-    run_side(a_cf, a_cf_c, d1);
-    run_side(a_now, cent0[a_var], d2);
   }
 
   const auto t = stats::welch_t_test(d1, d2);

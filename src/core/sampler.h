@@ -31,18 +31,6 @@ struct SamplerOptions {
   // service's container, a VM's host) whose pinned values would otherwise
   // absorb the counterfactual through collinear features.
   std::size_t path_slack = 2;
-  std::uint64_t seed = 1;
-  // Opt-in vectorized inference (DESIGN.md §11). The num_samples independent
-  // chains of one candidate are batched into SIMD-width lanes over a
-  // structure-of-arrays state, consuming pre-filled Rng::fill_normal blocks
-  // and the kernel's pre-divided weights. The contract is STATISTICAL
-  // equivalence (same verdicts and rankings, score deltas indistinguishable
-  // under a Welch t-test), not bitwise identity: draw order, rounding and
-  // the normal generator all differ from the scalar golden path. Output is
-  // still deterministic for a fixed (seed, options) at any thread count.
-  // Candidates whose resample order touches a non-flattened conditional
-  // (non-ridge model families) fall back to the scalar path per candidate.
-  bool fast_inference = false;
 };
 
 struct CounterfactualVerdict {
@@ -54,16 +42,11 @@ struct CounterfactualVerdict {
   // of the graph and options, not of scheduling).
   std::size_t path_len = 0;         // resampled subgraph size, incl. endpoints
   std::size_t node_resamples = 0;   // resample_node calls across both sides
-  // Flattened-kernel multiply-add slots evaluated (w * c / s terms) across
-  // both sides — the sampler's arithmetic volume, again deterministic.
-  // Lane-batched fast-inference work counts IDENTICALLY: both modes resample
-  // the same (sample, round, variable) grid, so the accounting is a function
-  // of the request, never of the execution mode (regression-tested).
+  // Flattened-kernel multiply-add slots evaluated (w * c terms) across both
+  // sides — the sampler's arithmetic volume, again deterministic. Candidates
+  // that run the reference count the same grid (non-flattened conditionals
+  // contribute no slots), so the accounting is a function of the request.
   std::size_t kernel_cells = 0;
-  // True when the vectorized fast-inference kernel produced this verdict
-  // (false in scalar mode and for per-candidate fallbacks), so audits record
-  // which mode a verdict came from.
-  bool fast_path = false;
 };
 
 class CounterfactualSampler {
@@ -71,19 +54,6 @@ class CounterfactualSampler {
   CounterfactualSampler(const graph::RelationshipGraph& graph,
                         const MetricSpace& space, const FactorSet& factors,
                         SamplerOptions opts);
-
-  // Evaluates candidate node A (driver variable `a_var`) against symptom
-  // variable `d_var`. `state` holds the current (incident-time) values;
-  // `symptom_high` says whether D's problem is an abnormally HIGH value
-  // (true) or LOW (false) — it sets the t-test direction.
-  // This overload draws from the sampler's own stream, so back-to-back
-  // evaluations depend on call order (legacy behaviour, fine serially).
-  [[nodiscard]] CounterfactualVerdict evaluate(graph::NodeIndex a,
-                                               VarIndex a_var,
-                                               graph::NodeIndex d,
-                                               VarIndex d_var,
-                                               std::span<const double> state,
-                                               bool symptom_high);
 
   // Precomputes the backward BFS distance map for symptom node `dst`, so
   // that every subsequent evaluate(..., d == dst, ...) builds its path
@@ -94,9 +64,20 @@ class CounterfactualSampler {
   // cache — verdicts are bitwise identical either way.
   void prepare(graph::NodeIndex dst);
 
-  // Order-independent variant: the caller supplies the RNG (typically one
-  // derived per candidate via mix_seed). Const and free of shared mutable
-  // state, so many threads may evaluate concurrently on one sampler.
+  // Evaluates candidate node A (driver variable `a_var`) against symptom
+  // variable `d_var`. `state` holds the current (incident-time) values;
+  // `symptom_high` says whether D's problem is an abnormally HIGH value
+  // (true) or LOW (false) — it sets the t-test direction. The caller
+  // supplies the RNG (one stream per candidate, derived via mix_seed), so
+  // the verdict is a pure function of (request, stream): const and free of
+  // shared mutable state, many threads may evaluate concurrently.
+  //
+  // Draws run through the inference kernel (DESIGN.md §5.1): the num_samples
+  // independent chains are batched into lanes over a structure-of-arrays
+  // state fed by Rng::fill_normal and the kernel's pre-divided weights.
+  // Candidates whose resample order touches a conditional the kernel could
+  // not flatten (non-ridge model families) draw through resample_path
+  // instead — exactly evaluate_reference().
   [[nodiscard]] CounterfactualVerdict evaluate(graph::NodeIndex a,
                                                VarIndex a_var,
                                                graph::NodeIndex d,
@@ -105,32 +86,47 @@ class CounterfactualSampler {
                                                bool symptom_high,
                                                Rng& rng) const;
 
+  // The same test with every draw taken by resample_path over a fresh copy
+  // of `state` per sample: the readable reference definition of steps 2-4.
+  // The kernel's contract is statistical equivalence to this (same verdicts
+  // and rankings, score deltas indistinguishable under a Welch t-test),
+  // gated by bench_fast_equivalence; it is not bitwise, because draw order,
+  // rounding and the normal generator differ.
+  [[nodiscard]] CounterfactualVerdict evaluate_reference(
+      graph::NodeIndex a, VarIndex a_var, graph::NodeIndex d, VarIndex d_var,
+      std::span<const double> state, bool symptom_high, Rng& rng) const;
+
   // One resampling pass (steps 2-3): resample nodes of `path` (excluding the
   // first, which holds the pinned candidate value) for W rounds, returning
-  // the final value of `d_var`. Exposed for the Fig. 8b cyclic-effects
-  // experiment, which uses the raw resampler for multi-hop prediction.
+  // the final value of `d_var`. Also used directly by the Fig. 8b
+  // cyclic-effects experiment for multi-hop prediction.
   [[nodiscard]] double resample_path(std::span<const graph::NodeIndex> path,
                                      VarIndex d_var,
                                      std::vector<double>& state, Rng& rng,
                                      std::size_t gibbs_rounds) const;
 
  private:
-  // Lane-batched Gibbs chains for one candidate (the fast path): packs the
-  // resample order into SoA buffers once, then runs all num_samples chains
-  // of the counterfactual side (pinned centered value `cent_a_cf`) into `d1`
-  // and of the factual side into `d2`. Returns false — before consuming any
+  CounterfactualVerdict evaluate_impl(graph::NodeIndex a, VarIndex a_var,
+                                      graph::NodeIndex d, VarIndex d_var,
+                                      std::span<const double> state,
+                                      bool symptom_high, Rng& rng,
+                                      bool reference) const;
+
+  // The inference kernel for one candidate: packs the resample order into
+  // SoA buffers once, then runs all num_samples chains of the
+  // counterfactual side (pinned centered value `cent_a_cf`) into `d1` and of
+  // the factual side into `d2`. Returns false — before consuming any
   // randomness — when some resampled conditional is not flattened, in which
-  // case the caller falls back to the scalar loop.
-  bool evaluate_fast(std::span<const VarIndex> order, VarIndex a_var,
-                     VarIndex d_var, std::span<const double> cent0,
-                     double cent_a_cf, Rng& rng, std::vector<double>& d1,
-                     std::vector<double>& d2) const;
+  // case the caller draws through the reference instead.
+  bool run_kernel(std::span<const VarIndex> order, VarIndex a_var,
+                  VarIndex d_var, std::span<const double> cent0,
+                  double cent_a_cf, Rng& rng, std::vector<double>& d1,
+                  std::vector<double>& d2) const;
 
   const graph::RelationshipGraph& graph_;
   const MetricSpace& space_;
   const FactorSet& factors_;
   SamplerOptions opts_;
-  Rng rng_;
   // Backward distance map from prepare(); read-only during evaluation.
   std::vector<std::size_t> dist_to_;
   graph::NodeIndex prepared_dst_ = graph::kUnreachable;

@@ -84,8 +84,6 @@ std::string to_jsonl(const DiagnosisAudit& audit) {
     out.push_back(',');
     append_kv(out, "evaluated", c.evaluated);
     out.push_back(',');
-    append_kv(out, "fast_path", c.fast_path);
-    out.push_back(',');
     append_kv(out, "accepted", c.accepted);
     out.push_back(',');
     append_kv(out, "p_value", c.p_value);
@@ -155,7 +153,6 @@ bool parse_jsonl(std::string_view text, DiagnosisAudit& out,
       c.rank_score = num_or(v, "rank_score", 0.0);
       c.self_symptom = bool_or(v, "self_symptom");
       c.evaluated = bool_or(v, "evaluated");
-      c.fast_path = bool_or(v, "fast_path");
       c.accepted = bool_or(v, "accepted");
       c.p_value = num_or(v, "p_value", 1.0);
       c.mean_factual = num_or(v, "mean_factual", 0.0);

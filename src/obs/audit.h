@@ -29,7 +29,6 @@ struct CandidateAudit {
   double rank_score = 0.0;     // z scaled by relative excursion (ordering key)
   bool self_symptom = false;   // candidate == symptom entity
   bool evaluated = false;      // counterfactual sampler actually ran
-  bool fast_path = false;      // vectorized fast-inference kernel ran it
   bool accepted = false;       // made the ranked list
   double p_value = 1.0;        // one-sided Welch t-test
   double mean_factual = 0.0;

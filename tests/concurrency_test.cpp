@@ -195,8 +195,8 @@ TEST(Determinism, FactorTrainingBitwiseIdenticalAcrossThreadCounts) {
                 parallel.conditional(v).hist_mean());
       EXPECT_EQ(serial.conditional(v).robust_sigma(),
                 parallel.conditional(v).robust_sigma());
-      EXPECT_EQ(serial.conditional(v).training_mase(),
-                parallel.conditional(v).training_mase());
+      EXPECT_EQ(serial.conditional(v).residual_sigma(),
+                parallel.conditional(v).residual_sigma());
     }
   }
 }

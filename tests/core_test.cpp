@@ -163,8 +163,9 @@ TEST(Sampler, CounterfactualPropagatesAcrossTwoHops) {
   SamplerOptions opts;
   opts.num_samples = 300;
   CounterfactualSampler sampler(f.graph, *f.space, *f.factors, opts);
+  Rng rng(1);
   const auto verdict =
-      sampler.evaluate(na, va, nc, vc, state, /*symptom_high=*/true);
+      sampler.evaluate(na, va, nc, vc, state, /*symptom_high=*/true, rng);
   EXPECT_TRUE(verdict.is_root_cause);
   EXPECT_LT(verdict.mean_counterfactual, verdict.mean_factual - 1.0);
 }
@@ -198,9 +199,10 @@ TEST(Sampler, DisconnectedEntityIsNeverRootCause) {
   SamplerOptions opts;
   opts.num_samples = 50;
   CounterfactualSampler sampler(g, space, factors, opts);
+  Rng sampler_rng(1);
   const auto verdict = sampler.evaluate(
       *g.index_of(d), *space.find(d, load), *g.index_of(a),
-      *space.find(a, load), state, /*symptom_high=*/true);
+      *space.find(a, load), state, /*symptom_high=*/true, sampler_rng);
   EXPECT_FALSE(verdict.is_root_cause);
   EXPECT_DOUBLE_EQ(verdict.p_value, 1.0);
 }

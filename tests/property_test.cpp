@@ -305,8 +305,9 @@ TEST_P(SamplerProperties, VerdictDeterministicAcrossConstructions) {
   opts.gibbs_rounds = GetParam();
   core::CounterfactualSampler s1(env.graph, *env.space, *env.factors, opts);
   core::CounterfactualSampler s2(env.graph, *env.space, *env.factors, opts);
-  const auto v1 = s1.evaluate(env.na, env.va, env.nc, env.vc, state, true);
-  const auto v2 = s2.evaluate(env.na, env.va, env.nc, env.vc, state, true);
+  Rng r1(1), r2(1);
+  const auto v1 = s1.evaluate(env.na, env.va, env.nc, env.vc, state, true, r1);
+  const auto v2 = s2.evaluate(env.na, env.va, env.nc, env.vc, state, true, r2);
   EXPECT_DOUBLE_EQ(v1.p_value, v2.p_value);
   EXPECT_DOUBLE_EQ(v1.mean_factual, v2.mean_factual);
 }
@@ -318,7 +319,8 @@ TEST_P(SamplerProperties, CounterfactualAlwaysMovesTowardNormal) {
   opts.num_samples = 150;
   opts.gibbs_rounds = GetParam();
   core::CounterfactualSampler s(env.graph, *env.space, *env.factors, opts);
-  const auto v = s.evaluate(env.na, env.va, env.nc, env.vc, state, true);
+  Rng rng(1);
+  const auto v = s.evaluate(env.na, env.va, env.nc, env.vc, state, true, rng);
   // During a high excursion the counterfactual start must not predict a
   // HIGHER symptom than the factual start, for any Gibbs round count.
   EXPECT_LE(v.mean_counterfactual, v.mean_factual + 0.5);

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -70,9 +71,37 @@ MonitoringDb make_chain_db(std::size_t slices) {
   return db;
 }
 
+// Holds the service's workers at their first phase checkpoint (through
+// MurphyOptions::cancel) until released, so a "plug" request occupies a
+// worker for as long as a test needs instead of for however long one
+// diagnosis happens to take.
+class WorkerGate {
+ public:
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+  // The cancel hook: blocks while held, never cancels.
+  bool wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !held_; });
+    return false;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = true;
+};
+
 // A murphyd-shaped runtime: stream + service + replay feed + protocol,
 // minus the daemon. REPLAY/STATS hooks mirror examples/murphyd.cpp.
 struct ProtoEnv {
+  ~ProtoEnv() { gate.release(); }  // never tear down with a worker parked
+  WorkerGate gate;  // declared first: outlives the workers that wait on it
   ReplayFeed feed;
   std::unique_ptr<TelemetryStream> stream;
   std::unique_ptr<DiagnosisService> svc;
@@ -81,9 +110,12 @@ struct ProtoEnv {
   std::mutex replay_mu;
 };
 
+// `gate_workers` parks every diagnosis at its first checkpoint until
+// env->gate.release().
 std::unique_ptr<ProtoEnv> make_proto_env(std::size_t slices,
                                          std::size_t workers,
-                                         std::size_t num_samples = 20) {
+                                         std::size_t num_samples = 20,
+                                         bool gate_workers = false) {
   auto env = std::make_unique<ProtoEnv>();
   env->feed = make_replay_feed(make_chain_db(slices),
                                static_cast<TimeIndex>(slices - 20));
@@ -94,6 +126,8 @@ std::unique_ptr<ProtoEnv> make_proto_env(std::size_t slices,
   sopts.murphy.num_threads = 1;
   sopts.murphy.sampler.num_samples = num_samples;
   sopts.murphy.seed = 7;
+  if (gate_workers)
+    sopts.murphy.cancel = [e = env.get()] { return e->gate.wait(); };
   env->svc = std::make_unique<DiagnosisService>(*env->stream, sopts);
   ProtocolHooks hooks;
   ProtoEnv* e = env.get();
@@ -373,7 +407,8 @@ TEST(NetServerTest, ImmediateVerbsAnswerInOrderOnBothTransports) {
 }
 
 TEST(NetServerTest, PipelinedDiagnosesCompleteOutOfOrder) {
-  auto env = make_proto_env(600, 1, /*num_samples=*/300);
+  auto env = make_proto_env(600, 1, /*num_samples=*/300,
+                            /*gate_workers=*/true);
   NetServerOptions nopts;
   nopts.unix_path = test_unix_path("ooo");
   NetServer server(*env->proto, nopts);
@@ -403,6 +438,7 @@ TEST(NetServerTest, PipelinedDiagnosesCompleteOutOfOrder) {
   c.send_all("#slow DIAGNOSE D cpu_util\n#fast STATS\n");
   const std::string first = c.read_line();
   EXPECT_EQ(first.substr(0, 16), "#fast OK slices=");
+  env->gate.release();
   plug_fut.get();
   const std::string second = c.read_line();
   EXPECT_EQ(second.substr(0, 12), "#slow OK id=");
@@ -410,7 +446,8 @@ TEST(NetServerTest, PipelinedDiagnosesCompleteOutOfOrder) {
 }
 
 TEST(NetServerTest, PerConnectionInflightLimitRejects) {
-  auto env = make_proto_env(600, 1, /*num_samples=*/300);
+  auto env = make_proto_env(600, 1, /*num_samples=*/300,
+                            /*gate_workers=*/true);
   NetServerOptions nopts;
   nopts.unix_path = test_unix_path("limit");
   nopts.max_inflight_per_conn = 2;
@@ -448,6 +485,7 @@ TEST(NetServerTest, PerConnectionInflightLimitRejects) {
                   " ERR rejected_conn_inflight_full (in_flight 2 limit 2)");
   }
   // Once the plug finishes, the two admitted requests complete fine.
+  env->gate.release();
   plug_fut.get();
   std::vector<std::string> done{c.read_line(), c.read_line()};
   for (const std::string& resp : done) {

@@ -469,8 +469,9 @@ TEST(ServiceDeadline, MidRunExpiryCancelsCooperatively) {
   DiagnosisServiceOptions opts;
   opts.murphy = fast_opts();
   // Enough sampling work that the deadline below lands mid-run on any
-  // machine; the phase-boundary cancellation hook must catch it.
-  opts.murphy.sampler.num_samples = 4000;
+  // machine (the inference kernel draws 4000 samples/side of this chain in
+  // about 2 ms); the phase-boundary cancellation hook must catch it.
+  opts.murphy.sampler.num_samples = 40000;
   opts.num_workers = 1;
   DiagnosisService svc(stream, opts);
 
