@@ -115,7 +115,6 @@ bool reference_decisions(const core::MurphyOptions& mopts,
       space.find(req.symptom_entity, db.catalog().find(req.symptom_metric));
   if (!symptom_var) return false;
   core::FactorTrainingOptions topts = mopts.training;
-  topts.seed = mopts.seed;
   topts.num_threads = mopts.num_threads;
   const core::FactorSet factors(db, graph, space, req.train_begin,
                                 req.train_end, topts);

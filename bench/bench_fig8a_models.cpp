@@ -4,7 +4,9 @@
 // candidate factor model (ridge / GMM / SVM / small neural network) to
 // predict one entity metric from its neighbors' metrics, and prints the CDF
 // of MASE errors across entities — the experiment that led the paper to
-// ship ridge regression.
+// ship ridge regression. The engine's FactorSet trains ridge only; the bench
+// fits the other three families itself, on the exact features the ridge
+// factor selected for each variable.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -15,6 +17,7 @@
 #include "src/eval/ascii_chart.h"
 #include "src/eval/tables.h"
 #include "src/graph/relationship_graph.h"
+#include "src/stats/predictor.h"
 #include "src/stats/summary.h"
 
 using namespace murphy;
@@ -48,11 +51,6 @@ int main() {
   std::fprintf(stderr, "graph: %zu nodes, %zu vars\n", graph.node_count(),
                space.size());
 
-  const stats::ModelKind kinds[] = {stats::ModelKind::kRidge,
-                                    stats::ModelKind::kGmm,
-                                    stats::ModelKind::kSvr,
-                                    stats::ModelKind::kMlp};
-
   // Held-out evaluation: train on the first 80% of the week, score each
   // variable's MASE on the final 20% — generalization, not training fit,
   // is what the diagnosis-time predictions depend on.
@@ -61,25 +59,52 @@ int main() {
   for (TimeIndex t = train_end; t < dopts.slices; ++t)
     held_out_states.push_back(space.snapshot(topo.db, t));
 
+  // Feature selection (top-B by |pearson|) is family-independent, so every
+  // family is scored on the features of one ridge FactorSet.
+  std::fprintf(stderr, "training ridge factors...\n");
+  const core::FactorTrainingOptions topts;
+  const core::FactorSet factors(topo.db, graph, space, 0, train_end, topts);
+
+  const stats::ModelKind kinds[] = {stats::ModelKind::kRidge,
+                                    stats::ModelKind::kGmm,
+                                    stats::ModelKind::kSvr,
+                                    stats::ModelKind::kMlp};
   eval::Table table({"model", "p10", "p25", "median", "p75", "p90", "p99"});
   std::vector<eval::Series> cdf_series;
   for (const auto kind : kinds) {
-    core::FactorTrainingOptions topts;
-    topts.model = kind;
-    if (kind == stats::ModelKind::kMlp) topts.predictor.mlp_epochs = 120;
-    std::fprintf(stderr, "training %s factors...\n",
-                 std::string(stats::model_kind_name(kind)).c_str());
-    const core::FactorSet factors(topo.db, graph, space, 0, train_end, topts);
+    if (kind != stats::ModelKind::kRidge)
+      std::fprintf(stderr, "training %s factors...\n",
+                   std::string(stats::model_kind_name(kind)).c_str());
     std::vector<double> errors;
     errors.reserve(space.size());
     std::vector<double> predicted(held_out_states.size());
     std::vector<double> actual(held_out_states.size());
     for (core::VarIndex v = 0; v < space.size(); ++v) {
       const auto& cond = factors.conditional(v);
-      if (cond.features().empty()) continue;  // isolated metric
+      const auto features = cond.features();
+      if (features.empty()) continue;  // isolated metric
+      std::unique_ptr<stats::Predictor> model;  // null: the ridge factor
+      if (kind != stats::ModelKind::kRidge) {
+        stats::Matrix x(train_end, features.size());
+        for (std::size_t c = 0; c < features.size(); ++c) {
+          const auto column =
+              space.history(topo.db, features[c], 0, train_end);
+          for (std::size_t r = 0; r < train_end; ++r) x.at(r, c) = column[r];
+        }
+        stats::PredictorOptions popts;
+        popts.l2 = topts.l2;
+        popts.seed = mix_seed(1, v);
+        popts.mlp_epochs = 120;
+        model = stats::make_predictor(kind, popts);
+        model->fit(x, space.history(topo.db, v, 0, train_end));
+      }
+      std::vector<double> row(features.size());
       for (std::size_t i = 0; i < held_out_states.size(); ++i) {
-        predicted[i] = cond.predict(held_out_states[i]);
-        actual[i] = held_out_states[i][v];
+        const auto& state = held_out_states[i];
+        for (std::size_t c = 0; c < features.size(); ++c)
+          row[c] = state[features[c]];
+        predicted[i] = model ? model->predict(row) : cond.predict(state);
+        actual[i] = state[v];
       }
       errors.push_back(stats::mase(predicted, actual));
     }

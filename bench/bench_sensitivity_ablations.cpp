@@ -103,7 +103,7 @@ int main() {
           o.sampler.counterfactual_sigmas = v;
         });
   sweep("ridge l2", std::vector<double>{1.0, 25.0, 100.0},
-        [](core::MurphyOptions& o, double v) { o.training.predictor.l2 = v; });
+        [](core::MurphyOptions& o, double v) { o.training.l2 = v; });
 
   std::printf("%s\n", table.render().c_str());
   std::printf("expected shape: flat across top-B (a few %%); W>=2 needed for "

@@ -6,9 +6,15 @@
 // (or an explicit symptom list), diagnoses each symptom, and merges the
 // per-symptom rankings: an entity implicated for several independent
 // symptoms is a stronger suspect than one implicated once.
+//
+// Training reuse: a BatchDiagnoser owns one TrainingCaches (factor_cache.h)
+// that persists across calls. Symptoms of one incident share most of their
+// graph neighborhoods, so each shared factor trains once per batch instead
+// of once per symptom, and a repeat call retrains only the factors whose
+// series were written in between. Purely a work-saving measure: results are
+// bitwise identical to cache-free per-symptom diagnoses.
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "src/core/murphy.h"
@@ -32,14 +38,6 @@ struct BatchOptions {
   SymptomFinderOptions finder;
   // Per-symptom candidates below this rank do not contribute to the merge.
   std::size_t per_symptom_top_k = 10;
-  // Cross-symptom training caches (window column moments + trained
-  // factors). Symptoms of one incident share most of their graph
-  // neighborhoods, so each shared factor trains once instead of once per
-  // symptom. Purely a work-saving measure: per-symptom and merged results
-  // are bitwise identical with the caches on or off. Caches invalidate
-  // automatically when the training window, the db's data version, or the
-  // training options change between calls.
-  bool share_training = true;
 };
 
 struct BatchResult {
@@ -71,11 +69,9 @@ class BatchDiagnoser {
 
  private:
   BatchOptions opts_;
-  // Persistent across calls: a repeat diagnosis over the same (db, window,
-  // options) generation reuses every factor. See diagnose_symptoms for the
-  // fingerprint that guards staleness.
-  std::unique_ptr<stats::WindowStats> window_stats_;
-  std::unique_ptr<FactorCache> factor_cache_;
+  // Persistent across calls; pruned to TrainingCaches::kDefaultMaxEntries
+  // at the top of each call.
+  TrainingCaches caches_;
 };
 
 }  // namespace murphy::core

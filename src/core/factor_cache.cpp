@@ -1,5 +1,10 @@
 #include "src/core/factor_cache.h"
 
+#include <bit>
+
+#include "src/core/factor_model.h"
+#include "src/telemetry/monitoring_db.h"
+
 namespace murphy::core {
 
 std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
@@ -36,27 +41,31 @@ const CachedFactor& FactorCache::get_or_train(std::uint64_t key,
     entry->factor = trainer();
     built = true;
   });
-  (built ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
   if (trained != nullptr) *trained = built;
   return entry->factor;
-}
-
-std::uint64_t FactorCache::hits() const {
-  return hits_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FactorCache::misses() const {
-  return misses_.load(std::memory_order_relaxed);
-}
-
-std::size_t FactorCache::size() const {
-  std::shared_lock lock(mu_);
-  return entries_.size();
 }
 
 void FactorCache::prune(std::size_t max_entries) {
   std::unique_lock lock(mu_);
   if (entries_.size() > max_entries) entries_.clear();
+}
+
+void TrainingCaches::attach(const telemetry::MonitoringDb& db,
+                            FactorTrainingOptions& opts) {
+  std::uint64_t fp = hash_mix(0x5E21BCE5u, db.uid());
+  fp = hash_mix(fp, db.structural_data_version());
+  fp = hash_mix(fp, opts.top_b);
+  fp = hash_mix(fp, std::bit_cast<std::uint64_t>(opts.l2));
+  fp = hash_mix(fp, std::bit_cast<std::uint64_t>(opts.recency_half_life));
+  window_stats_.reset(fp);
+  factor_cache_.reset(fp);
+  opts.window_stats = &window_stats_;
+  opts.factor_cache = &factor_cache_;
+}
+
+void TrainingCaches::prune(std::size_t max_entries) {
+  window_stats_.prune(max_entries);
+  factor_cache_.prune(max_entries);
 }
 
 }  // namespace murphy::core

@@ -8,14 +8,13 @@
 
 #include "src/common/thread_pool.h"
 #include "src/stats/correlation.h"
-#include "src/stats/ridge.h"
 #include "src/stats/summary.h"
 
 namespace murphy::core {
 
 MetricConditional::MetricConditional(
     VarIndex target, std::vector<VarIndex> features,
-    std::shared_ptr<const stats::Predictor> model, double hist_mean,
+    std::shared_ptr<const stats::RidgeRegression> model, double hist_mean,
     double hist_sigma)
     : target_(target),
       features_(std::move(features)),
@@ -58,25 +57,22 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // materialized locally otherwise. Either way the feature-scoring loop
   // below does one dot product per candidate pair instead of a three-pass
   // mean/variance rescan.
+  const std::uint64_t window_key =
+      (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
   std::vector<const stats::ColumnMoments*> col(space.size());
   std::vector<stats::ColumnMoments> local;
   if (opts.window_stats != nullptr) {
     for (VarIndex v = 0; v < space.size(); ++v) {
       const auto& var = space.var(v);
-      std::uint64_t key =
-          (static_cast<std::uint64_t>(var.entity.value()) << 32) |
-          var.kind.value();
-      if (opts.epoch_keys) {
-        // A write to this series changes its epoch, hence the key: the stale
-        // column is simply never looked up again (see FactorTrainingOptions).
-        // The window rides in the key too — the service's generation
-        // fingerprint deliberately excludes it so concurrent requests with
-        // different windows can share one cache generation.
-        key = hash_mix(hash_mix(0xE90C4B11u, key),
-                       db.metrics().series_epoch(var.entity, var.kind));
-        key = hash_mix(key, (static_cast<std::uint64_t>(train_begin) << 32) |
-                                train_end);
-      }
+      // A write to this series changes its epoch, hence the key: the stale
+      // column is simply never looked up again. The window rides in the key
+      // too, so requests with different windows share one cache generation
+      // (see factor_cache.h).
+      const std::uint64_t key = hash_mix(
+          hash_mix(hash_mix(0xE90C4B11u, window_key),
+                   (static_cast<std::uint64_t>(var.entity.value()) << 32) |
+                       var.kind.value()),
+          db.metrics().series_epoch(var.entity, var.kind));
       col[v] = &opts.window_stats->get_or_build(key, [&] {
         return space.history(db, v, train_begin, train_end);
       });
@@ -157,28 +153,21 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     features.reserve(scored.size());
     for (const auto& [c, f] : scored) features.push_back(f);
 
-    std::unique_ptr<stats::Predictor> model;
     if (!features.empty()) {
-      const auto& y = ty.values;
       stats::Matrix x(n_rows, features.size());
       for (std::size_t r = 0; r < n_rows; ++r)
         for (std::size_t c = 0; c < features.size(); ++c)
           x.at(r, c) = col[features[c]]->values[r];
-      stats::PredictorOptions popts = opts.predictor;
-      popts.seed = mix_seed(opts.seed, target);
-      model = stats::make_predictor(opts.model, popts);
-      if (opts.recency_half_life > 0.0 &&
-          opts.model == stats::ModelKind::kRidge) {
-        stats::Vector weights(n_rows);
+      // Uniform weights are exactly RidgeRegression::fit().
+      stats::Vector weights(n_rows, 1.0);
+      if (opts.recency_half_life > 0.0)
         for (std::size_t r = 0; r < n_rows; ++r)
           weights[r] = std::pow(
               0.5, static_cast<double>(n_rows - 1 - r) /
                        opts.recency_half_life);
-        static_cast<stats::RidgeRegression*>(model.get())
-            ->fit_weighted(x, y, weights);
-      } else {
-        model->fit(x, y);
-      }
+      auto model = std::make_shared<stats::RidgeRegression>(opts.l2);
+      model->fit_weighted(x, ty.values, weights);
+      cf.model = std::move(model);
     }
 
     cf.features.reserve(features.size());
@@ -186,7 +175,6 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       const auto& fv = space.var(f);
       cf.features.push_back(MetricRef{fv.entity, fv.kind});
     }
-    cf.model = std::shared_ptr<const stats::Predictor>(std::move(model));
     cf.robust_center = stats::median(ty.values);
     cf.robust_sigma = stats::mad_sigma(ty.values);
 
@@ -219,22 +207,17 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     conditionals_[target] = std::move(cond);
   };
 
-  // The factor cache only engages for ridge: its closed-form fit ignores
-  // popts.seed, which is the one graph-dependent fit input (mix_seed over
-  // VarIndex). Stochastic families train per graph.
-  const bool cacheable = opts.factor_cache != nullptr &&
-                         opts.model == stats::ModelKind::kRidge;
-  if (cacheable && opts.metrics != nullptr) {
+  if (opts.factor_cache != nullptr && opts.metrics != nullptr) {
     c_cache_hits = opts.metrics->counter("cache.factor_hits");
     c_cache_misses = opts.metrics->counter("cache.factor_misses");
   }
 
   // One ridge fit per variable, all independent: parallelize over targets.
-  // Each target's predictor seed is derived from (opts.seed, target) alone,
-  // so the trained set is bitwise identical at any thread count.
+  // Each fit is a pure function of its histories and the options, so the
+  // trained set is bitwise identical at any thread count.
   parallel_for(opts.num_threads, space.size(), [&](std::size_t t) {
     const VarIndex target = t;
-    if (cacheable) {
+    if (opts.factor_cache != nullptr) {
       const auto& tvar = space.var(target);
       std::uint64_t key = hash_mix(0x0FAC70C5u, tvar.entity.value());
       key = hash_mix(key, tvar.kind.value());
@@ -245,27 +228,23 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
         nbrs.push_back(graph.entity_of(nb).value());
       std::sort(nbrs.begin(), nbrs.end());
       for (const std::uint32_t e : nbrs) key = hash_mix(key, e);
-      if (opts.epoch_keys) {
-        // Fine-grained invalidation: the fit is a pure function of the
-        // target and candidate-feature histories, so mix the (kind, epoch)
-        // vector of every series the trainer may read — the target entity's
-        // and each sorted in-neighbor's metric kinds. A write to any of them
-        // (or a freshly appearing series) changes the key; everything else
-        // keeps hitting (see FactorTrainingOptions::epoch_keys).
-        const auto mix_entity_series = [&](std::uint32_t ev) {
-          const EntityId e(ev);
-          for (const MetricKindId k : db.metrics().kinds_of(e)) {
-            key = hash_mix(key, (static_cast<std::uint64_t>(ev) << 32) |
-                                    k.value());
-            key = hash_mix(key, db.metrics().series_epoch(e, k));
-          }
-        };
-        mix_entity_series(tvar.entity.value());
-        for (const std::uint32_t e : nbrs) mix_entity_series(e);
-        // Window in the key, not the generation fingerprint (see above).
-        key = hash_mix(key, (static_cast<std::uint64_t>(train_begin) << 32) |
-                                train_end);
-      }
+      // Fine-grained invalidation: the fit is a pure function of the target
+      // and candidate-feature histories, so mix the (kind, epoch) vector of
+      // every series the trainer may read — the target entity's and each
+      // sorted in-neighbor's metric kinds. A write to any of them (or a
+      // freshly appearing series) changes the key; everything else keeps
+      // hitting (see factor_cache.h).
+      const auto mix_entity_series = [&](std::uint32_t ev) {
+        const EntityId e(ev);
+        for (const MetricKindId k : db.metrics().kinds_of(e)) {
+          key = hash_mix(key, (static_cast<std::uint64_t>(ev) << 32) |
+                                  k.value());
+          key = hash_mix(key, db.metrics().series_epoch(e, k));
+        }
+      };
+      mix_entity_series(tvar.entity.value());
+      for (const std::uint32_t e : nbrs) mix_entity_series(e);
+      key = hash_mix(key, window_key);  // not in the generation fingerprint
 
       bool trained = false;
       // The cached trainer runs with tracing off: WHICH symptom pays the
@@ -308,55 +287,39 @@ void FactorSet::build_kernel() {
   for (VarIndex v = 0; v < n; ++v) {
     const MetricConditional& c = *conditionals_[v];
     SampleKernel::VarEntry& e = kernel_.vars[v];
-    const stats::Predictor* m = c.model();
-    const auto features = c.features();
-    if (features.empty() || m == nullptr) {
-      // predict() returns hist_mean; sample sigma is the residual sigma when
-      // a model exists, the historical sigma otherwise.
-      e.flat = true;
+    // Sample sigma: the residual sigma when a model exists, the historical
+    // sigma otherwise.
+    e.sigma = c.residual_sigma();
+    const stats::RidgeRegression* r = c.model();
+    if (r == nullptr) {  // no usable features: predict() returns hist_mean
       e.base = c.hist_mean();
-      e.sigma = c.residual_sigma();
       continue;
     }
-    if (m->kind() != stats::ModelKind::kRidge) continue;  // stays non-flat
-    const auto* r = static_cast<const stats::RidgeRegression*>(m);
+    const auto features = c.features();
     const stats::Vector& fm = r->feature_means();
     const stats::Vector& fs = r->feature_scales();
-    // A shared centered entry is only valid if every conditional derives the
-    // exact same mean for the feature. fit_weighted() guarantees this (its
-    // column statistics depend only on the row weights, which are a function
-    // of the window length alone) — verify bitwise and leave the
-    // conditional non-flat (its candidates draw through the reference)
-    // rather than trust it.
-    const auto same_bits = [](double a, double b) {
-      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-    };
-    bool shareable = true;
-    for (std::size_t j = 0; j < features.size(); ++j) {
-      const VarIndex f = features[j];
-      if (seen[f] != 0 && !same_bits(kernel_.mean[f], fm[j])) {
-        shareable = false;
-        break;
-      }
-    }
-    if (!shareable) continue;
-    for (std::size_t j = 0; j < features.size(); ++j) {
-      const VarIndex f = features[j];
-      if (seen[f] == 0) {
-        seen[f] = 1;
-        kernel_.mean[f] = fm[j];
-      }
-    }
     const stats::Vector& w = r->standardized_weights();
-    e.flat = true;
-    e.base = r->intercept();
-    e.sigma = m->residual_sigma();
+    double base = r->intercept();
     e.begin = static_cast<std::uint32_t>(kernel_.feat.size());
     e.count = static_cast<std::uint32_t>(features.size());
     for (std::size_t j = 0; j < features.size(); ++j) {
-      kernel_.feat.push_back(static_cast<std::uint32_t>(features[j]));
-      kernel_.wdiv.push_back(w[j] / fs[j]);
+      const VarIndex f = features[j];
+      const double wd = w[j] / fs[j];
+      if (seen[f] == 0) {
+        seen[f] = 1;
+        kernel_.mean[f] = fm[j];
+      } else if (std::bit_cast<std::uint64_t>(kernel_.mean[f]) !=
+                 std::bit_cast<std::uint64_t>(fm[j])) {
+        // fit_weighted() makes every conditional derive the same mean for a
+        // feature, so this is defensive. It is exact algebra:
+        //   wd * (x - fm) = wd * (x - mean[f]) + wd * (mean[f] - fm).
+        // Only differing bits fold, so agreeing kernels stay bit-for-bit.
+        base += wd * (kernel_.mean[f] - fm[j]);
+      }
+      kernel_.feat.push_back(static_cast<std::uint32_t>(f));
+      kernel_.wdiv.push_back(wd);
     }
+    e.base = base;
   }
 }
 

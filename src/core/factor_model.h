@@ -3,9 +3,11 @@
 // Each factor relates one metric of entity v in a time slice to the metrics
 // of v's in-neighbors in the same slice. Following the paper: the top B = 10
 // neighbor metrics are selected by correlation (the "one in ten" rule), a
-// ridge regression (by default; the model family is pluggable per Fig. 8a)
-// is fit on the training window, and the Gaussian residual sigma makes the
-// conditional a sampling distribution rather than a point predictor.
+// ridge regression is fit on the training window, and the Gaussian residual
+// sigma makes the conditional a sampling distribution rather than a point
+// predictor. Ridge is the only factor family: Fig. 8a, which compares it
+// against GMM, SVM and small neural nets on the same selected features,
+// fits those families itself (bench/bench_fig8a_models.cpp).
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,7 @@
 #include "src/core/factor_cache.h"
 #include "src/core/metric_space.h"
 #include "src/obs/hooks.h"
-#include "src/stats/predictor.h"
+#include "src/stats/ridge.h"
 #include "src/stats/window_stats.h"
 
 namespace murphy::core {
@@ -26,9 +28,9 @@ namespace murphy::core {
 class MetricConditional {
  public:
   // The model is shared-const: the cross-symptom FactorCache hands the same
-  // fitted predictor to every FactorSet that hits the cache entry.
+  // fitted regression to every FactorSet that hits the cache entry.
   MetricConditional(VarIndex target, std::vector<VarIndex> features,
-                    std::shared_ptr<const stats::Predictor> model,
+                    std::shared_ptr<const stats::RidgeRegression> model,
                     double hist_mean, double hist_sigma);
 
   // predict() and sample() are safe to call concurrently from many threads
@@ -64,14 +66,16 @@ class MetricConditional {
   }
 
   // The fitted model (nullptr when the variable had no usable features).
-  // Exposed so FactorSet can flatten ridge conditionals into its sampling
+  // Exposed so FactorSet can flatten the conditionals into its sampling
   // kernel.
-  [[nodiscard]] const stats::Predictor* model() const { return model_.get(); }
+  [[nodiscard]] const stats::RidgeRegression* model() const {
+    return model_.get();
+  }
 
  private:
   VarIndex target_;
   std::vector<VarIndex> features_;
-  std::shared_ptr<const stats::Predictor> model_;
+  std::shared_ptr<const stats::RidgeRegression> model_;
   double hist_mean_;
   double hist_sigma_;
   double robust_center_ = 0.0;
@@ -81,23 +85,21 @@ class MetricConditional {
 struct FactorTrainingOptions {
   // Top-B neighbor metrics by |Pearson correlation| ("one in ten" rule).
   std::size_t top_b = 10;
-  stats::ModelKind model = stats::ModelKind::kRidge;
-  // Telemetry features are heavily collinear (a service's request rate, its
-  // container's CPU and its client's load all co-move); substantial ridge
-  // regularization spreads weight across the collinear group instead of
-  // letting sign-flipped pairs cancel, which would invert counterfactuals.
-  stats::PredictorOptions predictor{.l2 = 25.0};
+  // Ridge L2 strength. Telemetry features are heavily collinear (a service's
+  // request rate, its container's CPU and its client's load all co-move);
+  // substantial regularization spreads weight across the collinear group
+  // instead of letting sign-flipped pairs cancel, which would invert
+  // counterfactuals.
+  double l2 = 25.0;
   // Recency-weighted "offline + online" hybrid training (§7, future work):
-  // when > 0 (in slices) and the model is ridge, row r of the training
-  // window is weighted 0.5^((last - r) / half_life), so long histories
-  // inform the fit without drowning the freshest in-incident points.
-  // 0 = uniform weighting (the paper's shipped configuration).
+  // when > 0 (in slices), row r of the training window is weighted
+  // 0.5^((last - r) / half_life), so long histories inform the fit without
+  // drowning the freshest in-incident points. 0 = uniform weighting (the
+  // paper's shipped configuration).
   double recency_half_life = 0.0;
-  std::uint64_t seed = 1;
   // Threads for the per-variable fits (each fit is independent). 0 = one per
   // hardware core, 1 = serial. Any value yields bitwise-identical factors:
-  // predictor seeds are derived per variable via mix_seed, not drawn from a
-  // shared sequential stream.
+  // every fit is a pure function of its target's and candidates' histories.
   std::size_t num_threads = 1;
   // Optional observability sinks (null = off). `trace_parent` is the stable
   // span id the per-variable fit spans attach to — fits run on worker
@@ -106,39 +108,20 @@ struct FactorTrainingOptions {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   std::uint64_t trace_parent = 0;
-  // Optional training caches (null = train everything locally).
-  //
-  // window_stats: shared per-column moment cache (means/centered columns/
-  // sums of squares); correlations against cached columns are single dot
-  // products. factor_cache: cross-symptom factor reuse — each (entity, kind,
-  // in-neighbor-set) conditional trains once and is shared. Both caches
-  // yield bitwise-identical factors (see their headers for the proofs);
-  // the factor cache only engages for ridge models (stochastic families
-  // seed per VarIndex, which is graph-dependent). The CALLER owns validity:
-  // reset() each cache with a fingerprint of (window, db data version,
-  // options) before training — BatchDiagnoser does this per batch.
+  // Optional training caches (null = train everything locally), attached
+  // by TrainingCaches::attach, which owns their invalidation (see
+  // factor_cache.h). window_stats: shared per-column moment cache, so
+  // correlations against cached columns are single dot products.
+  // factor_cache: cross-symptom factor reuse. Both yield bitwise-identical
+  // factors (see their headers for the proofs).
   stats::WindowStats* window_stats = nullptr;
   FactorCache* factor_cache = nullptr;
-  // Fine-grained cache invalidation for long-running callers (the diagnosis
-  // service, DESIGN.md §9). When set, per-series write epochs
-  // (MetricStore::series_epoch) are mixed into both cache keys: the
-  // WindowStats key covers the one series the column reads, the FactorCache
-  // key covers the target plus every candidate-feature series (the metric
-  // kinds of the target's entity and its sorted in-neighbor entities, so a
-  // freshly appearing series changes the key too), as is the train window
-  // (requests with different windows coexist within one generation). A
-  // streaming append then retires exactly the entries that read the touched
-  // series. The caller must pair this with a generation fingerprint over
-  // MonitoringDb::structural_data_version() — NOT data_version(), which
-  // would still invalidate everything — structural changes and erasures stay
-  // whole-cache resets.
-  bool epoch_keys = false;
 };
 
 // Flattened, allocation-free view of the trained conditionals, built once
 // after training for the inference kernel (CounterfactualSampler).
 //
-// Ridge is the one model family whose predict() is a fixed arithmetic form,
+// A ridge conditional's predict() is a fixed arithmetic form,
 //   mu = base + sum_j (w[j] * (x[j] - mean[j])) / scale[j],
 // and because fit_weighted() computes each column's weighted mean with
 // weights that depend only on the row index (never on the target), every
@@ -148,16 +131,16 @@ struct FactorTrainingOptions {
 // evaluates mu = base + sum_j wdiv[j] * c[f[j]] with the division folded
 // into the weight — one FMA per slot, rounding differently from predict()
 // (the kernel's contract with the reference is statistical, DESIGN.md §5.1).
-// Conditionals that cannot be flattened (non-ridge models, or a bitwise
-// mean mismatch, which build_kernel() checks defensively) stay non-flat;
-// candidates whose path touches one draw through the reference instead.
+// build_kernel() still checks the shared mean bitwise: a conditional whose
+// own feature mean differs from the shared one gets the exact correction
+// wdiv[j] * (mean[f] - own_mean[j]) folded into its base, so every
+// conditional is always drawable by the kernel.
 struct SampleKernel {
   struct VarEntry {
     std::uint32_t begin = 0;  // offset into feat/wdiv
     std::uint32_t count = 0;
-    bool flat = false;        // false -> the kernel cannot draw this var
-    double base = 0.0;        // intercept (y_mean, or hist_mean if no model)
-    double sigma = 0.0;       // sampling stddev (residual or historical)
+    double base = 0.0;   // intercept (y_mean, or hist_mean if no model)
+    double sigma = 0.0;  // sampling stddev (residual or historical)
   };
   std::vector<VarEntry> vars;
   std::vector<std::uint32_t> feat;  // feature VarIndex, contiguous per var
@@ -165,7 +148,7 @@ struct SampleKernel {
   // weight over the feature's scale), folded once at build_kernel() time.
   std::vector<double> wdiv;
   // Shared per-variable centering; 0 for variables that never appear as a
-  // feature of a flattened conditional.
+  // feature.
   std::vector<double> mean;
 };
 

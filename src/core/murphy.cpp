@@ -101,7 +101,6 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   // 2. Online training on [train_begin, train_end).
   obs::Span train_span(hooks.tracer, "train_factors");
   FactorTrainingOptions topts = opts_.training;
-  topts.seed = opts_.seed;
   topts.num_threads = opts_.num_threads;
   topts.tracer = hooks.tracer;
   topts.metrics = hooks.metrics;

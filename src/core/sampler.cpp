@@ -1,6 +1,7 @@
 #include "src/core/sampler.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/stats/ttest.h"
 #include "src/stats/summary.h"
@@ -30,13 +31,11 @@ double CounterfactualSampler::resample_path(
   return state[d_var];
 }
 
-bool CounterfactualSampler::run_kernel(
+void CounterfactualSampler::run_kernel(
     std::span<const VarIndex> order, VarIndex a_var, VarIndex d_var,
     std::span<const double> cent0, double cent_a_cf, Rng& rng,
     std::vector<double>& d1, std::vector<double>& d2) const {
   const SampleKernel& kernel = factors_.kernel();
-  for (const VarIndex v : order)
-    if (!kernel.vars[v].flat) return false;  // non-ridge family on the path
 
   // --- SoA packing -----------------------------------------------------------
   // Compact the written variable set (`order`) into slots [0, m). Features of
@@ -52,7 +51,7 @@ bool CounterfactualSampler::run_kernel(
   for (std::size_t j = 0; j < m; ++j)
     slot_of[order[j]] = static_cast<std::int32_t>(j);
   const std::int32_t d_slot = slot_of[d_var];
-  if (d_slot < 0) return false;  // defensive: d must be on the path
+  assert(d_slot >= 0);  // d is the path's last node, so it is resampled
 
   thread_local std::vector<std::uint32_t> vf_begin, vf_slot;
   thread_local std::vector<double> vf_w, base_c, a_coef, sigma, init_cent;
@@ -131,7 +130,6 @@ bool CounterfactualSampler::run_kernel(
   };
   run_side(cent_a_cf, d1);
   run_side(cent0[a_var], d2);
-  return true;
 }
 
 CounterfactualVerdict CounterfactualSampler::evaluate(
@@ -197,16 +195,14 @@ CounterfactualVerdict CounterfactualSampler::evaluate_impl(
   d1.reserve(opts_.num_samples);
   d2.reserve(opts_.num_samples);
 
-  bool drawn = false;
   if (!reference) {
     const std::size_t n_vars = state.size();
     cent0.resize(n_vars);
     for (VarIndex v = 0; v < n_vars; ++v)
       cent0[v] = factors_.center(v, state[v]);
-    drawn = run_kernel(order, a_var, d_var, cent0,
-                       factors_.center(a_var, a_cf), rng, d1, d2);
-  }
-  if (!drawn) {
+    run_kernel(order, a_var, d_var, cent0, factors_.center(a_var, a_cf), rng,
+               d1, d2);
+  } else {
     // Reference draws: every sample resamples a fresh copy of the state,
     // counterfactual start then factual start (same resampling, so the two
     // distributions are comparable).

@@ -43,9 +43,9 @@ struct CounterfactualVerdict {
   std::size_t path_len = 0;         // resampled subgraph size, incl. endpoints
   std::size_t node_resamples = 0;   // resample_node calls across both sides
   // Flattened-kernel multiply-add slots evaluated (w * c terms) across both
-  // sides — the sampler's arithmetic volume, again deterministic. Candidates
-  // that run the reference count the same grid (non-flattened conditionals
-  // contribute no slots), so the accounting is a function of the request.
+  // sides — the sampler's arithmetic volume, again deterministic. The
+  // reference counts the same grid, so the accounting is a function of the
+  // request.
   std::size_t kernel_cells = 0;
 };
 
@@ -75,9 +75,6 @@ class CounterfactualSampler {
   // Draws run through the inference kernel (DESIGN.md §5.1): the num_samples
   // independent chains are batched into lanes over a structure-of-arrays
   // state fed by Rng::fill_normal and the kernel's pre-divided weights.
-  // Candidates whose resample order touches a conditional the kernel could
-  // not flatten (non-ridge model families) draw through resample_path
-  // instead — exactly evaluate_reference().
   [[nodiscard]] CounterfactualVerdict evaluate(graph::NodeIndex a,
                                                VarIndex a_var,
                                                graph::NodeIndex d,
@@ -115,10 +112,8 @@ class CounterfactualSampler {
   // The inference kernel for one candidate: packs the resample order into
   // SoA buffers once, then runs all num_samples chains of the
   // counterfactual side (pinned centered value `cent_a_cf`) into `d1` and of
-  // the factual side into `d2`. Returns false — before consuming any
-  // randomness — when some resampled conditional is not flattened, in which
-  // case the caller draws through the reference instead.
-  bool run_kernel(std::span<const VarIndex> order, VarIndex a_var,
+  // the factual side into `d2`.
+  void run_kernel(std::span<const VarIndex> order, VarIndex a_var,
                   VarIndex d_var, std::span<const double> cent0,
                   double cent_a_cf, Rng& rng, std::vector<double>& d1,
                   std::vector<double>& d2) const;

@@ -105,6 +105,10 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
   Rng rng(opts.seed);
   std::vector<double> rho(num_s);
   std::vector<double> own_latency(num_s);
+  // Each caller's outgoing edges, in call_edges order (the relaxation's order).
+  std::vector<std::vector<const CallEdge*>> calls_of(num_s);
+  for (const CallEdge& e : app.call_edges)
+    if (e.caller < num_s) calls_of[e.caller].push_back(&e);
 
   for (TimeIndex t = 0; t < slices; ++t) {
     // Request rate per service = sum of client rps * demand multiplier.
@@ -169,8 +173,8 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
       bool changed = false;
       for (std::size_t s = 0; s < num_s; ++s) {
         double l = own_latency[s];
-        for (const CallEdge& e : app.call_edges)
-          if (e.caller == s) l += e.calls_per_request * total_latency[e.callee];
+        for (const CallEdge* e : calls_of[s])
+          l += e->calls_per_request * total_latency[e->callee];
         if (std::abs(l - total_latency[s]) > 1e-9) changed = true;
         total_latency[s] = l;
       }

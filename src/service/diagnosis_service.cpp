@@ -1,6 +1,5 @@
 #include "src/service/diagnosis_service.h"
 
-#include <bit>
 #include <utility>
 
 namespace murphy::service {
@@ -167,24 +166,8 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
     return resp;
   }
 
-  // Epoch-keyed cache generation (see the file comment in the header): the
-  // fingerprint covers identity + structure + training options, NOT the
-  // data version or the train window — value appends invalidate through
-  // per-series epochs in the keys, and the window rides in the keys too.
-  const core::FactorTrainingOptions& t = opts_.murphy.training;
-  std::uint64_t fp = core::hash_mix(0x5E21BCE5u, db.uid());
-  fp = core::hash_mix(fp, db.structural_data_version());
-  window_stats_.reset(fp);
-  fp = core::hash_mix(fp, t.top_b);
-  fp = core::hash_mix(fp, static_cast<std::uint64_t>(t.model));
-  fp = core::hash_mix(fp, std::bit_cast<std::uint64_t>(t.predictor.l2));
-  fp = core::hash_mix(fp, std::bit_cast<std::uint64_t>(t.recency_half_life));
-  factor_cache_.reset(fp);
-
   core::MurphyOptions mopts = opts_.murphy;
-  mopts.training.window_stats = &window_stats_;
-  mopts.training.factor_cache = &factor_cache_;
-  mopts.training.epoch_keys = true;
+  caches_.attach(db, mopts.training);
   if (p.req.deadline != std::chrono::steady_clock::time_point::max()) {
     const auto deadline = p.req.deadline;
     mopts.cancel = [deadline] {
@@ -237,8 +220,7 @@ void DiagnosisService::maintain() {
   // ColumnMoments / CachedFactor reference (workers hold the shared lock
   // for their whole run), which is prune()'s precondition.
   TelemetryStream::WriteLock lock = stream_.write();
-  window_stats_.prune(opts_.cache_max_entries);
-  factor_cache_.prune(opts_.cache_max_entries);
+  caches_.prune(opts_.cache_max_entries);
 }
 
 std::size_t DiagnosisService::queue_depth() const {

@@ -19,15 +19,14 @@
 // FactorCache / WindowStats). Cancellation cannot break this — it only
 // abandons phases, never alters a completed one.
 //
-// Cache invalidation: the caches run in epoch-keyed mode
-// (FactorTrainingOptions::epoch_keys) with a generation fingerprint over
-// MonitoringDb::uid() + structural_data_version() + training options. A
-// streaming append bumps only the touched series' epochs, so the generation
-// survives and unrelated entries keep hitting; structural changes (new
-// entities/associations, axis swap, erasure) change the fingerprint and
-// reset everything. Stale epoch-keyed entries are never looked up again, so
-// maintain() bounds the maps by pruning under the stream's exclusive lock —
-// the one point where no diagnosis can hold a cache reference.
+// Cache invalidation: the shared core::TrainingCaches, the same regime
+// BatchDiagnoser uses (core/factor_cache.h). A streaming append bumps only
+// the touched series' epochs, so the generation survives and unrelated
+// entries keep hitting; structural changes (new entities/associations, axis
+// swap, erasure) reset everything. Stale epoch-keyed entries are never
+// looked up again, so maintain() bounds the maps by pruning under the
+// stream's exclusive lock — the one point where no diagnosis can hold a
+// cache reference.
 #pragma once
 
 #include <chrono>
@@ -45,7 +44,6 @@
 #include "src/core/factor_cache.h"
 #include "src/core/murphy.h"
 #include "src/service/telemetry_stream.h"
-#include "src/stats/window_stats.h"
 
 namespace murphy::service {
 
@@ -118,7 +116,7 @@ struct DiagnosisServiceOptions {
   // Admission bound on QUEUED requests (running ones do not count).
   std::size_t max_queue = 64;
   // maintain() prunes each training cache down whenever it exceeds this.
-  std::size_t cache_max_entries = 8192;
+  std::size_t cache_max_entries = core::TrainingCaches::kDefaultMaxEntries;
 };
 
 class DiagnosisService {
@@ -181,9 +179,8 @@ class DiagnosisService {
   std::uint64_t next_id_ = 0;
   bool stopping_ = false;
 
-  // Shared across workers; epoch-keyed (see file comment).
-  stats::WindowStats window_stats_;
-  core::FactorCache factor_cache_;
+  // Shared across workers (see file comment).
+  core::TrainingCaches caches_;
 };
 
 }  // namespace murphy::service

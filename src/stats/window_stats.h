@@ -3,7 +3,7 @@
 // Every correlation in Murphy's training hot path (feature scoring, the
 // baselines' edge weighting) re-derives the same per-column statistics: the
 // mean, the centered column, and its sum of squared deviations. WindowStats
-// materializes them once per column per (window, data-version) generation,
+// materializes them once per column per cache key,
 // turning each pairwise pearson()/spearman()/abnormality_correlation() into
 // a single cached-dot-product kernel (pearson_centered) instead of a
 // three-pass rescan.
@@ -17,7 +17,8 @@
 // so kernels over cached columns reproduce the uncached results bitwise.
 //
 // Columns are keyed by an opaque 64-bit id chosen by the caller (the core
-// layer packs (entity, kind); keys only need to be unique per variable).
+// layer hashes (entity, kind, series write epoch, train window); keys only
+// need to identify the column's contents).
 // The cache is safe for concurrent get_or_build() calls: the map is guarded
 // by a shared mutex and each column is built exactly once via a per-entry
 // once_flag, so parallel batch diagnoses share one materialization.
@@ -71,9 +72,8 @@ class WindowStats {
   using Loader = std::function<std::vector<double>()>;
 
   // Drops every cached column unless `fingerprint` matches the generation
-  // the cache was built at. Callers derive the fingerprint from
-  // (train_begin, train_end, MonitoringDb::data_version()); any window shift
-  // or data mutation therefore starts a fresh generation.
+  // the cache was built at. The core layer's TrainingCaches derives it from
+  // the db's identity and structure (core/factor_cache.h).
   void reset(std::uint64_t fingerprint);
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
 
@@ -96,12 +96,10 @@ class WindowStats {
   [[nodiscard]] std::size_t size() const;
 
   // Drops every entry (keeping the fingerprint) when the map holds more than
-  // `max_entries`. Epoch-keyed callers (the diagnosis service) retire stale
-  // entries by changing keys, so dead columns accumulate; this bounds them.
-  // Dropping entries is always correct (just future misses), but the caller
-  // must guarantee no ColumnMoments reference obtained from this cache is
-  // still live — the service calls this only under its exclusive db lock,
-  // when no diagnosis is in flight.
+  // `max_entries`. Epoch-keyed callers retire stale entries by changing
+  // keys, so dead columns accumulate; this bounds them. Dropping entries is
+  // always correct (just future misses), but the caller must guarantee no
+  // ColumnMoments reference obtained from this cache is still live.
   void prune(std::size_t max_entries);
 
  private:

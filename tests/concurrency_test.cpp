@@ -160,6 +160,20 @@ void expect_bitwise_equal(const core::DiagnosisResult& x,
   }
 }
 
+void expect_batch_bitwise_equal(const core::BatchResult& x,
+                                const core::BatchResult& y) {
+  ASSERT_EQ(x.merged.size(), y.merged.size());
+  for (std::size_t i = 0; i < x.merged.size(); ++i) {
+    EXPECT_EQ(x.merged[i].entity, y.merged[i].entity) << "rank " << i;
+    EXPECT_EQ(x.merged[i].score, y.merged[i].score) << "rank " << i;
+  }
+  ASSERT_EQ(x.per_symptom.size(), y.per_symptom.size());
+  for (std::size_t s = 0; s < x.per_symptom.size(); ++s) {
+    SCOPED_TRACE("symptom " + std::to_string(s));
+    expect_bitwise_equal(x.per_symptom[s], y.per_symptom[s]);
+  }
+}
+
 TEST(Determinism, DiagnosisBitwiseIdenticalAcrossThreadCounts) {
   const auto env = make_chain_env();
   const auto serial = diagnose_chain(env, 1);
@@ -220,25 +234,15 @@ TEST(Determinism, BatchMergedBitwiseIdenticalAcrossThreadCounts) {
   const auto serial = run(1);
   ASSERT_FALSE(serial.merged.empty());
   for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel = run(threads);
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    ASSERT_EQ(serial.merged.size(), parallel.merged.size());
-    for (std::size_t i = 0; i < serial.merged.size(); ++i) {
-      EXPECT_EQ(serial.merged[i].entity, parallel.merged[i].entity);
-      EXPECT_EQ(serial.merged[i].score, parallel.merged[i].score);
-    }
-    ASSERT_EQ(serial.per_symptom.size(), parallel.per_symptom.size());
-    for (std::size_t s = 0; s < serial.per_symptom.size(); ++s) {
-      SCOPED_TRACE("symptom " + std::to_string(s));
-      expect_bitwise_equal(serial.per_symptom[s], parallel.per_symptom[s]);
-    }
+    expect_batch_bitwise_equal(serial, run(threads));
   }
 }
 
 TEST(Determinism, SharedTrainingCachesDoNotChangeBatchBits) {
-  // The cross-symptom factor cache must be a pure wall-clock optimization:
-  // with sharing on (default) the merged ranking and every per-symptom
-  // result carry the exact bits the unshared engine produces, at any thread
+  // The batch's training caches must be a pure wall-clock optimization: the
+  // merged ranking and every per-symptom result carry the exact bits of
+  // cache-free per-symptom diagnoses fused the same way, at any thread
   // count. The chain symptoms' 4-hop graphs all cover the same four nodes,
   // so the second and third symptoms are served almost entirely from cache.
   const auto env = make_chain_env();
@@ -247,31 +251,32 @@ TEST(Determinism, SharedTrainingCachesDoNotChangeBatchBits) {
       core::Symptom{env.c, "cpu_util", 0.0, 4.0},
       core::Symptom{env.b, "cpu_util", 0.0, 3.0},
   };
+  core::BatchOptions bopts;
+  bopts.murphy.sampler.num_samples = 80;
+  bopts.murphy.num_threads = 1;
 
-  auto run = [&](bool share, std::size_t threads) {
-    core::BatchOptions bopts;
-    bopts.share_training = share;
-    bopts.murphy.sampler.num_samples = 80;
+  core::BatchResult uncached{symptoms, {}, {}};
+  for (const core::Symptom& symptom : symptoms) {
+    core::MurphyDiagnoser murphy(bopts.murphy);
+    core::DiagnosisRequest req;
+    req.db = &env.db;
+    req.symptom_entity = symptom.entity;
+    req.symptom_metric = symptom.metric;
+    req.now = 199;
+    req.train_begin = 0;
+    req.train_end = 200;
+    uncached.per_symptom.push_back(murphy.diagnose(req));
+  }
+  uncached.merged = core::fuse_reciprocal_rank(
+      symptoms, uncached.per_symptom, bopts.per_symptom_top_k);
+  ASSERT_FALSE(uncached.merged.empty());
+
+  for (const std::size_t threads : {1u, 8u}) {
     bopts.murphy.num_threads = threads;
     core::BatchDiagnoser batch(bopts);
-    return batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200);
-  };
-
-  const auto unshared = run(false, 1);
-  ASSERT_FALSE(unshared.merged.empty());
-  for (const std::size_t threads : {1u, 8u}) {
-    const auto shared = run(true, threads);
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    ASSERT_EQ(unshared.merged.size(), shared.merged.size());
-    for (std::size_t i = 0; i < unshared.merged.size(); ++i) {
-      EXPECT_EQ(unshared.merged[i].entity, shared.merged[i].entity);
-      EXPECT_EQ(unshared.merged[i].score, shared.merged[i].score);
-    }
-    ASSERT_EQ(unshared.per_symptom.size(), shared.per_symptom.size());
-    for (std::size_t s = 0; s < unshared.per_symptom.size(); ++s) {
-      SCOPED_TRACE("symptom " + std::to_string(s));
-      expect_bitwise_equal(unshared.per_symptom[s], shared.per_symptom[s]);
-    }
+    expect_batch_bitwise_equal(
+        uncached, batch.diagnose_symptoms(env.db, symptoms, 199, 0, 200));
   }
 }
 

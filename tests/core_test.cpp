@@ -14,6 +14,7 @@
 #include "src/core/murphy.h"
 #include "src/core/sampler.h"
 #include "src/emulation/scenarios.h"
+#include "src/obs/metrics.h"
 #include "src/enterprise/incidents.h"
 #include "src/telemetry/metric_catalog.h"
 #include "src/stats/summary.h"
@@ -541,6 +542,15 @@ EntityId fill_chain_db(telemetry::MonitoringDb& db, double slope) {
 
 }  // namespace
 
+void expect_same_causes(const std::vector<RankedRootCause>& got,
+                        const std::vector<RankedRootCause>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].entity, want[i].entity) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
+}
+
 TEST(FactorCache, SameStorageDbWithEqualVersionIsNotAnAbaHit) {
   // The classic ABA: db1 is diagnosed (warming the BatchDiagnoser's
   // persistent factor cache), destroyed, and db2 is constructed at the SAME
@@ -573,12 +583,49 @@ TEST(FactorCache, SameStorageDbWithEqualVersionIsNotAnAbaHit) {
   BatchDiagnoser cold(bopts);  // no cache to poison: the ground truth
   const auto expected = cold.diagnose_symptoms(*db2, symptoms, 99, 0, 100);
 
-  ASSERT_EQ(possibly_stale.merged.size(), expected.merged.size());
-  for (std::size_t i = 0; i < expected.merged.size(); ++i) {
-    EXPECT_EQ(possibly_stale.merged[i].entity, expected.merged[i].entity);
-    EXPECT_EQ(possibly_stale.merged[i].score, expected.merged[i].score);
-  }
+  expect_same_causes(possibly_stale.merged, expected.merged);
   db2->~MonitoringDb();
+}
+
+TEST(FactorCache, BatchChurnRetrainsOnlyTouchedFactors) {
+  // Epoch keys on the batch path: one fresh value written into one series
+  // inside the window retires only the factors that read that series, so a
+  // second call on the same BatchDiagnoser misses fewer factors than exist —
+  // and still returns exactly what a cold diagnoser computes.
+  MonitoringDb db;
+  const EntityId c = fill_chain_db(db, 2.0);
+  const EntityId a = db.all_entities().front();
+  const MetricKindId load = db.catalog().find("cpu_util");
+  const std::vector<Symptom> symptoms{Symptom{c, "cpu_util", 0.0, 5.0},
+                                      Symptom{a, "cpu_util", 0.0, 4.0}};
+
+  obs::MetricsRegistry registry;
+  BatchOptions bopts;
+  bopts.murphy.sampler.num_samples = 40;
+  bopts.murphy.num_threads = 1;
+  bopts.murphy.obs.metrics = &registry;
+  // The audit carries each candidate's p-value and sample means, which
+  // move with any bit of a stale factor.
+  bopts.murphy.obs.collect_audit = true;
+  BatchDiagnoser batch(bopts);
+  const obs::Counter* misses = registry.counter("cache.factor_misses");
+  (void)batch.diagnose_symptoms(db, symptoms, 99, 0, 100);
+  const std::uint64_t unique_factors = misses->value();
+
+  db.metrics().upsert_cell(a, load, 50,
+                           db.metrics().find(a, load)->value(50) + 0.5);
+  const auto warm = batch.diagnose_symptoms(db, symptoms, 99, 0, 100);
+  const std::uint64_t retrained = misses->value() - unique_factors;
+  EXPECT_GT(retrained, 0u);
+  EXPECT_LT(retrained, unique_factors);
+
+  bopts.murphy.obs.metrics = nullptr;
+  BatchDiagnoser cold(bopts);
+  const auto expected = cold.diagnose_symptoms(db, symptoms, 99, 0, 100);
+  expect_same_causes(warm.merged, expected.merged);
+  for (std::size_t s = 0; s < symptoms.size(); ++s)
+    EXPECT_EQ(obs::to_jsonl(warm.per_symptom[s].audit),
+              obs::to_jsonl(expected.per_symptom[s].audit));
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 //     fixed values for a fixed request, the same for the kernel and the
 //     reference, and the same serial or parallel.
 //  3. The kernel agrees with the resample_path reference on verdicts, and
-//     candidates whose conditionals cannot be flattened (non-ridge model
-//     families) draw through that reference.
+//     its flattened form base + sum wdiv * (x - mean) is each conditional's
+//     predict() re-associated, for every conditional it is built from.
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -159,13 +159,10 @@ ChainEnv make_chain_env(std::size_t slices = 200) {
 
 core::DiagnosisResult diagnose_chain(const ChainEnv& env,
                                      std::size_t num_threads,
-                                     obs::MetricsRegistry* metrics = nullptr,
-                                     stats::ModelKind model =
-                                         stats::ModelKind::kRidge) {
+                                     obs::MetricsRegistry* metrics = nullptr) {
   core::MurphyOptions mopts;
   mopts.sampler.num_samples = 120;
   mopts.num_threads = num_threads;
-  mopts.training.model = model;
   mopts.obs.metrics = metrics;
   core::MurphyDiagnoser murphy(mopts);
   core::DiagnosisRequest req;
@@ -202,15 +199,12 @@ struct ChainSampler {
 };
 
 ChainSampler make_chain_sampler(const ChainEnv& env,
-                                stats::ModelKind model =
-                                    stats::ModelKind::kRidge) {
+                                const core::FactorTrainingOptions& topts = {}) {
   ChainSampler c;
   const std::vector<EntityId> seeds{env.d};
   c.graph = graph::RelationshipGraph::build(env.db, seeds, 4);
   c.space = std::make_unique<core::MetricSpace>(env.db, c.graph);
   c.state = c.space->snapshot(env.db, 199);
-  core::FactorTrainingOptions topts;
-  topts.model = model;
   c.factors = std::make_unique<core::FactorSet>(env.db, c.graph, *c.space, 0,
                                                 200, topts);
   c.a_var = *c.space->find(env.a, env.load);
@@ -313,38 +307,58 @@ TEST(FastInference, VerdictAgreesWithReference) {
   }
 }
 
-// ---------- non-flat conditionals ------------------------------------------
+// ---------- the flattened form ---------------------------------------------
 
-TEST(FastInference, FallsBackPerCandidateForNonFlatModels) {
-  // GMM conditionals cannot be flattened into the kernel, so the candidate
-  // draws through the reference: evaluate() is then bitwise
-  // evaluate_reference() on the same stream.
-  const auto env = make_chain_env();
-  const auto c = make_chain_sampler(env, stats::ModelKind::kGmm);
-  core::SamplerOptions sopts;
-  sopts.num_samples = 120;
-  const core::CounterfactualSampler sampler(c.graph, *c.space, *c.factors,
-                                            sopts);
-  Rng rng1(mix_seed(3, 1)), rng2(mix_seed(3, 1));
-  const auto k = sampler.evaluate(c.a_node, c.a_var, c.d_node, c.d_var,
-                                  c.state, /*symptom_high=*/true, rng1);
-  const auto r = sampler.evaluate_reference(c.a_node, c.a_var, c.d_node,
-                                            c.d_var, c.state,
-                                            /*symptom_high=*/true, rng2);
-  EXPECT_GT(k.path_len, 0u);
-  EXPECT_EQ(k.p_value, r.p_value);
-  EXPECT_EQ(k.mean_factual, r.mean_factual);
-  EXPECT_EQ(k.mean_counterfactual, r.mean_counterfactual);
-
-  // ...and the whole GMM diagnosis gives the same verdicts at any thread
-  // count.
-  const auto serial = diagnose_chain(env, 1, nullptr, stats::ModelKind::kGmm);
-  EXPECT_FALSE(serial.causes.empty());
-  for (const std::size_t threads : {2u, 8u}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    expect_bitwise_equal(serial, diagnose_chain(env, threads, nullptr,
-                                                stats::ModelKind::kGmm));
+// For every conditional: the kernel's mu = base + sum wdiv * (x_f - mean[f])
+// equals predict(x) on random states around `c.state`. The two differ only
+// in rounding (w * d / s against (w / s) * d, summed in the same order), so
+// they must agree to 1e-12 of the summed term magnitudes — relative to the
+// terms, not to mu, which may cancel.
+void expect_kernel_matches_predict(const ChainSampler& c, std::uint64_t seed) {
+  const core::SampleKernel& k = c.factors->kernel();
+  Rng rng(seed);
+  std::vector<double> x(c.state.size());
+  for (int trial = 0; trial < 20; ++trial) {
+    for (core::VarIndex v = 0; v < x.size(); ++v) {
+      const double sigma = c.factors->conditional(v).hist_sigma();
+      x[v] = c.state[v] + (sigma > 0.0 ? sigma : 1.0) * rng.normal();
+    }
+    for (core::VarIndex v = 0; v < x.size(); ++v) {
+      const core::SampleKernel::VarEntry& e = k.vars[v];
+      double mu = e.base;
+      double magnitude = std::abs(e.base);
+      for (std::uint32_t j = e.begin; j < e.begin + e.count; ++j) {
+        const double term = k.wdiv[j] * (x[k.feat[j]] - k.mean[k.feat[j]]);
+        mu += term;
+        magnitude += std::abs(term);
+      }
+      SCOPED_TRACE("var " + std::to_string(v));
+      EXPECT_NEAR(mu, c.factors->conditional(v).predict(x), 1e-12 * magnitude);
+    }
   }
+}
+
+TEST(FastInference, KernelMatchesPredictOnChain) {
+  const auto env = make_chain_env();
+  expect_kernel_matches_predict(make_chain_sampler(env), 1);
+  core::FactorTrainingOptions recency;
+  recency.recency_half_life = 30.0;  // non-uniform row weights
+  expect_kernel_matches_predict(make_chain_sampler(env, recency), 2);
+}
+
+TEST(FastInference, KernelMatchesPredictOnHugeAndNearConstantColumns) {
+  // The chaos harness's two scale faults (eval/chaos.cpp): B rescaled by 1e9
+  // (overflow pressure on the Gram products) and C a ~1e9 constant with
+  // ulp-level jitter (a tiny but non-degenerate scale, so huge weights).
+  auto env = make_chain_env();
+  auto* b = env.db.metrics().find_mutable(env.b, env.load);
+  auto* c = env.db.metrics().find_mutable(env.c, env.load);
+  for (std::size_t t = 0; t < 200; ++t) {
+    b->set(t, b->value(t) * 1e9);
+    const double jitter = static_cast<double>(t % 3) - 1.0;  // -1, 0, +1
+    c->set(t, 1.5e9 * (1.0 + jitter * 2.220446049250313e-16));
+  }
+  expect_kernel_matches_predict(make_chain_sampler(env), 3);
 }
 
 }  // namespace
