@@ -16,11 +16,16 @@
 // The trained conditionals are bitwise identical in all three modes (the
 // concurrency/cache tests assert this); only the work changes. Target:
 // shared >= 5x over cold. A streaming-churn pass then writes ~1% of the
-// series and checks that the epoch keys retain >= 80% of the factors; the
-// binary exits non-zero when they do not.
+// series and checks that the epoch keys retain >= 80% of the factors. A
+// growing-window pass last trains the symptoms' graphs at windows E, E+1,
+// ..., E+32 through one TrainingCaches — each step extends the moment
+// blocks by one row — and compares every factor with a cold training of
+// the same window. The binary exits non-zero when retention is short or
+// any extended factor differs from its cold twin in a single bit.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_util.h"
 #include "src/core/batch.h"
@@ -55,6 +60,31 @@ double train_all(const telemetry::MonitoringDb& db,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
+// True when every conditional of `a` and `b` agrees to the bit.
+bool same_bits(const core::FactorSet& a, const core::FactorSet& b) {
+  if (a.size() != b.size()) return false;
+  for (core::VarIndex v = 0; v < a.size(); ++v) {
+    const core::MetricConditional& x = a.conditional(v);
+    const core::MetricConditional& y = b.conditional(v);
+    if (!std::equal(x.features().begin(), x.features().end(),
+                    y.features().begin(), y.features().end()) ||
+        x.hist_mean() != y.hist_mean() || x.hist_sigma() != y.hist_sigma() ||
+        x.robust_center() != y.robust_center() ||
+        x.robust_sigma() != y.robust_sigma() ||
+        x.residual_sigma() != y.residual_sigma() ||
+        (x.model() == nullptr) != (y.model() == nullptr))
+      return false;
+    if (x.model() != nullptr &&
+        (x.model()->standardized_weights() !=
+             y.model()->standardized_weights() ||
+         x.model()->feature_means() != y.model()->feature_means() ||
+         x.model()->feature_scales() != y.model()->feature_scales() ||
+         x.model()->intercept() != y.model()->intercept()))
+      return false;
+  }
+  return true;
+}
+
 // Streams one fresh value onto every series of ~`fraction` of the entities
 // (collectors report all metrics of an entity together, so real churn is
 // entity-clustered). Returns the number of series touched.
@@ -80,7 +110,7 @@ int main() {
   bench::print_header(
       "Factor-training microbench: cross-symptom factor reuse",
       "engineering experiment (no paper figure) — batch training cost with "
-      "the window-moment and factor caches off vs shared");
+      "the factor cache and moment store off vs shared");
 
   enterprise::IncidentDatasetOptions opts;
   if (!bench::full_scale()) {
@@ -203,9 +233,76 @@ int main() {
   std::printf("\ntarget: >= 80%% of factors retained at 1%% churn\n");
   m.gauge("bench.churn_epoch_retained")->set(epoch_rate);
 
+  // --- growing window --------------------------------------------------------
+  // The service's case for the moment store: every REPLAY tick grows the
+  // window by one row, so every factor key misses, and only the new row
+  // should cost anything. One graph per distinct symptom entity.
+  constexpr TimeIndex kSteps = 32;
+  const TimeIndex grow_begin = train_end > kSteps ? train_end - kSteps : 0;
+  std::vector<EntityId> grow_entities;
+  for (const core::Symptom& s : symptoms)
+    if (std::find(grow_entities.begin(), grow_entities.end(), s.entity) ==
+        grow_entities.end())
+      grow_entities.push_back(s.entity);
+  struct Graph {
+    graph::RelationshipGraph graph;
+    core::MetricSpace space;
+  };
+  std::vector<Graph> graphs;
+  for (const EntityId e : grow_entities) {
+    auto g = graph::RelationshipGraph::build(db, std::vector<EntityId>{e});
+    core::MetricSpace space(db, g);
+    graphs.push_back(Graph{std::move(g), std::move(space)});
+  }
+  const auto train_step =
+      [&](TimeIndex end, core::TrainingCaches* caches, double* ms) {
+        std::vector<std::unique_ptr<core::FactorSet>> sets;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const Graph& g : graphs) {
+          core::FactorTrainingOptions topts;
+          if (caches != nullptr) caches->attach(db, topts);
+          sets.push_back(std::make_unique<core::FactorSet>(
+              db, g.graph, g.space, 0, end, topts));
+        }
+        *ms += std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+        return sets;
+      };
+  double grow_cold_ms = 0.0, grow_extended_ms = 0.0;
+  std::size_t mismatches = 0;
+  {
+    core::TrainingCaches caches;
+    for (TimeIndex end = grow_begin; end <= grow_begin + kSteps; ++end) {
+      const auto cold = train_step(end, nullptr, &grow_cold_ms);
+      double first_ms = 0.0;
+      const auto extended = train_step(
+          end, &caches, end == grow_begin ? &first_ms : &grow_extended_ms);
+      for (std::size_t i = 0; i < cold.size(); ++i)
+        if (!same_bits(*cold[i], *extended[i])) ++mismatches;
+    }
+  }
+  const double steps = static_cast<double>(kSteps + 1);
+  std::printf(
+      "\ngrowing window [0, %zu..%zu), %zu graphs:\n"
+      "  cold     %8.2f ms per step\n"
+      "  extended %8.2f ms per step (one appended row)\n"
+      "  %zu factor sets differ from cold\n",
+      static_cast<std::size_t>(grow_begin),
+      static_cast<std::size_t>(grow_begin + kSteps), graphs.size(),
+      grow_cold_ms / steps, grow_extended_ms / (steps - 1.0), mismatches);
+  m.gauge("bench.grow_cold_ms")->set(grow_cold_ms / steps);
+  m.gauge("bench.grow_extended_ms")->set(grow_extended_ms / (steps - 1.0));
+  m.gauge("bench.grow_mismatches")->set(static_cast<double>(mismatches));
+
   bench::write_bench_json("factor_training");
   if (epoch_rate < 0.8) {
     std::fprintf(stderr, "FAIL: epoch retention %.3f < 0.8\n", epoch_rate);
+    return 1;
+  }
+  if (mismatches > 0) {
+    std::fprintf(stderr, "FAIL: %zu extended factor sets differ from cold\n",
+                 mismatches);
     return 1;
   }
   return 0;

@@ -9,6 +9,7 @@
 #include "src/common/thread_pool.h"
 #include "src/stats/correlation.h"
 #include "src/stats/summary.h"
+#include "src/telemetry/monitoring_db.h"
 
 namespace murphy::core {
 
@@ -38,6 +39,74 @@ double MetricConditional::sample(std::span<const double> state,
   return predict(state) + residual_sigma() * rng.normal();
 }
 
+namespace {
+
+// Derives one target's factor from its moment block (column 0 the target,
+// then its candidates in (entity, kind) order). `cs` are the block's
+// series, read again only by the exact residual pass over [begin, end).
+CachedFactor fit_block(const MomentBlock& blk,
+                       std::span<const telemetry::TimeSeries* const> cs,
+                       TimeIndex train_begin, TimeIndex train_end,
+                       const FactorTrainingOptions& opts) {
+  const std::size_t d = blk.cols.size();
+  const stats::CrossMoments& pm = blk.plain;
+  const auto n = static_cast<double>(pm.rows());
+  const double cyy = pm.centered(0, 0);
+  CachedFactor cf;
+  cf.hist_mean = pm.mean(0);
+  cf.hist_sigma = pm.rows() < 2 ? 0.0 : std::sqrt(cyy / (n - 1.0));
+
+  // Candidates scored by |pearson| against the target, cut at 0.05.
+  std::vector<std::pair<double, std::size_t>> scored;
+  for (std::size_t c = 1; c < d; ++c) {
+    const double r = std::abs(stats::pearson_moments(
+        pm.centered(0, c), cyy, pm.centered(c, c), n, pm.mean(0),
+        pm.mean(c)));
+    if (r > 0.05) scored.emplace_back(r, c);
+  }
+  // Equal |pearson| resolves on (entity, kind) — the column order —
+  // never on VarIndex, which would depend on the graph's node numbering
+  // and break factor sharing across symptoms.
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  cf.considered = scored.size();
+  if (scored.size() > opts.top_b) scored.resize(opts.top_b);
+
+  if (!scored.empty()) {
+    std::vector<std::size_t> sel{0};
+    for (const auto& [r, c] : scored) sel.push_back(c);
+    const stats::CenteredMoments plain = pm.select(sel);
+    auto model = std::make_shared<stats::RidgeRegression>(opts.l2);
+    // The exact residual pass, for when the moment form cancels.
+    const auto exact = [&](const stats::RidgeRegression& m) {
+      const auto value = [&](std::size_t c, TimeIndex t) {
+        return cs[c] == nullptr ? 0.0 : cs[c]->value_or(t, 0.0);
+      };
+      stats::OnlineStats resid;
+      std::vector<double> x(sel.size() - 1);
+      for (TimeIndex t = train_begin; t < train_end; ++t) {
+        for (std::size_t j = 1; j < sel.size(); ++j)
+          x[j - 1] = value(sel[j], t);
+        resid.add(value(0, t) - m.predict(x));
+      }
+      return resid.count() >= 2 ? resid.stddev() : 0.0;
+    };
+    model->fit_moments(
+        blk.decayed.dims() > 0 ? blk.decayed.select(sel) : plain, plain,
+        exact);
+    cf.model = std::move(model);
+    cf.features.reserve(scored.size());
+    for (const auto& [r, c] : scored) cf.features.push_back(blk.cols[c]);
+  }
+  cf.robust_center = stats::median_sorted(blk.sorted_target);
+  cf.robust_sigma = stats::mad_sigma_sorted(blk.sorted_target,
+                                            cf.hist_sigma);
+  return cf;
+}
+
+}  // namespace
+
 FactorSet::FactorSet(const telemetry::MonitoringDb& db,
                      const graph::RelationshipGraph& graph,
                      const MetricSpace& space, TimeIndex train_begin,
@@ -47,44 +116,18 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // empty window, which trains flat hist-mean conditionals everywhere
   // (DESIGN.md §8, counter `train.empty_windows`).
   if (train_end < train_begin) train_end = train_begin;
-  const std::size_t n_rows = train_end - train_begin;
-  if (n_rows == 0 && opts.metrics != nullptr)
+  if (train_end == train_begin && opts.metrics != nullptr)
     opts.metrics->counter("train.empty_windows")->add(1);
   conditionals_.resize(space.size());
+  const double decay = opts.recency_half_life > 0.0
+                           ? std::pow(0.5, 1.0 / opts.recency_half_life)
+                           : 1.0;
 
-  // Per-variable window moments (mean, centered column, sum of squares):
-  // pulled from the shared cross-symptom cache when one is attached,
-  // materialized locally otherwise. Either way the feature-scoring loop
-  // below does one dot product per candidate pair instead of a three-pass
-  // mean/variance rescan.
-  const std::uint64_t window_key =
-      (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
-  std::vector<const stats::ColumnMoments*> col(space.size());
-  std::vector<stats::ColumnMoments> local;
-  if (opts.window_stats != nullptr) {
-    for (VarIndex v = 0; v < space.size(); ++v) {
-      const auto& var = space.var(v);
-      // A write to this series changes its epoch, hence the key: the stale
-      // column is simply never looked up again. The window rides in the key
-      // too, so requests with different windows share one cache generation
-      // (see factor_cache.h).
-      const std::uint64_t key = hash_mix(
-          hash_mix(hash_mix(0xE90C4B11u, window_key),
-                   (static_cast<std::uint64_t>(var.entity.value()) << 32) |
-                       var.kind.value()),
-          db.metrics().series_epoch(var.entity, var.kind));
-      col[v] = &opts.window_stats->get_or_build(key, [&] {
-        return space.history(db, v, train_begin, train_end);
-      });
-    }
-  } else {
-    local.resize(space.size());
-    for (VarIndex v = 0; v < space.size(); ++v) {
-      local[v] = stats::build_column_moments(
-          space.history(db, v, train_begin, train_end));
-      col[v] = &local[v];
-    }
-  }
+  // Each variable's series, read once: the block columns, their history ids
+  // and append marks.
+  std::vector<const telemetry::TimeSeries*> series(space.size());
+  for (VarIndex v = 0; v < space.size(); ++v)
+    series[v] = db.metrics().find(space.var(v).entity, space.var(v).kind);
 
   // Observability: resolve instruments once, outside the hot loop (the
   // registry lookup takes a mutex; the updates below are lock-free atomics).
@@ -102,87 +145,109 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
         "train.features_per_factor",
         {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0});
   }
+#ifndef MURPHY_OBS_DISABLED
+  static obs::Counter* const c_block_hits =
+      obs::global_metrics().counter("cache.window_hits");
+  static obs::Counter* const c_block_misses =
+      obs::global_metrics().counter("cache.window_misses");
+#endif
 
-  // Trains the factor of one target variable from the cached column moments,
-  // in graph-independent (CachedFactor) form. Pure: everything it returns is
-  // a function of the candidate histories and options alone, which is what
+  // Trains the factor of one target variable from its moment block, in
+  // graph-independent (CachedFactor) form. Pure: everything it returns is a
+  // function of the candidate histories and options alone, which is what
   // makes the result shareable across symptoms (see FactorCache).
   auto train_target = [&](VarIndex target, obs::Tracer* tracer) {
     obs::Span fit_span(tracer, "fit_factor", target, opts.trace_parent);
     const auto& tvar = space.var(target);
-    const stats::ColumnMoments& ty = *col[target];
 
-    CachedFactor cf;
-    cf.hist_mean = ty.mean;    // == stats::mean(y)
-    cf.hist_sigma = ty.sigma;  // == stats::stddev(y), bitwise (see WindowStats)
-
-    // Candidate features: all metrics of in-neighbor nodes (the in_nbrs(v)
-    // of the factor definition), plus the entity's OTHER own metrics, which
-    // the paper's P_v(v | ...) treats jointly.
-    std::vector<std::pair<double, VarIndex>> scored;
-    std::uint64_t corr_cells = 0;
-    auto consider = [&](VarIndex f) {
-      if (f == target) return;
-      const stats::ColumnMoments& fx = *col[f];
-      const double c = std::abs(stats::pearson_centered(
-          fx.centered, fx.sxx, fx.mean, ty.centered, ty.sxx, ty.mean));
-      corr_cells += n_rows;
-      if (c > 0.05) scored.emplace_back(c, f);
-    };
+    // Block columns: the target, then its candidate features — all metrics
+    // of in-neighbor nodes (the in_nbrs(v) of the factor definition), plus
+    // the entity's OTHER own metrics, which the paper's P_v(v | ...) treats
+    // jointly — in (entity, kind) order.
+    std::vector<VarIndex> cols{target};
     for (const graph::NodeIndex nb : graph.in_neighbors(tvar.node))
-      for (const VarIndex f : space.vars_of(nb)) consider(f);
-    for (const VarIndex f : space.vars_of(tvar.node)) consider(f);
-    if (c_corr_cells != nullptr) c_corr_cells->add(corr_cells);
+      for (const VarIndex f : space.vars_of(nb)) cols.push_back(f);
+    for (const VarIndex f : space.vars_of(tvar.node))
+      if (f != target) cols.push_back(f);
+    const auto ref_of = [&](VarIndex v) {
+      return MetricRef{space.var(v).entity, space.var(v).kind};
+    };
+    std::sort(cols.begin() + 1, cols.end(),
+              [&](VarIndex a, VarIndex b) { return ref_of(a) < ref_of(b); });
+    cols.erase(std::unique(cols.begin() + 1, cols.end()), cols.end());
+    const std::size_t d = cols.size();
 
-    std::sort(scored.begin(), scored.end(),
-              [&](const auto& a, const auto& b) {
-                if (a.first != b.first) return a.first > b.first;
-                // Graph-invariant tiebreak: equal |pearson| resolves on
-                // (entity, kind), never on VarIndex — a VarIndex order would
-                // depend on the graph's node numbering and break factor
-                // sharing across symptoms.
-                const auto& va = space.var(a.second);
-                const auto& vb = space.var(b.second);
-                if (va.entity != vb.entity) return va.entity < vb.entity;
-                return va.kind < vb.kind;
-              });
-    cf.considered = scored.size();
-    if (scored.size() > opts.top_b) scored.resize(opts.top_b);
-
-    std::vector<VarIndex> features;
-    features.reserve(scored.size());
-    for (const auto& [c, f] : scored) features.push_back(f);
-
-    if (!features.empty()) {
-      stats::Matrix x(n_rows, features.size());
-      for (std::size_t r = 0; r < n_rows; ++r)
-        for (std::size_t c = 0; c < features.size(); ++c)
-          x.at(r, c) = col[features[c]]->values[r];
-      // Uniform weights are exactly RidgeRegression::fit().
-      stats::Vector weights(n_rows, 1.0);
-      if (opts.recency_half_life > 0.0)
-        for (std::size_t r = 0; r < n_rows; ++r)
-          weights[r] = std::pow(
-              0.5, static_cast<double>(n_rows - 1 - r) /
-                       opts.recency_half_life);
-      auto model = std::make_shared<stats::RidgeRegression>(opts.l2);
-      model->fit_weighted(x, ty.values, weights);
-      cf.model = std::move(model);
+    std::vector<const telemetry::TimeSeries*> cs(d);
+    std::vector<MetricRef> refs(d);
+    std::vector<std::uint64_t> ids(d);
+    TimeIndex min_mark = train_end;
+    for (std::size_t c = 0; c < d; ++c) {
+      cs[c] = series[cols[c]];
+      refs[c] = ref_of(cols[c]);
+      ids[c] = cs[c] == nullptr ? 0 : cs[c]->history_id();
+      min_mark = std::min(min_mark,
+                          cs[c] == nullptr ? TimeIndex{0}
+                                           : cs[c]->append_mark());
     }
+    const auto init = [&](MomentBlock& b) {
+      b.begin = train_begin;
+      b.cols = refs;
+      b.history = ids;
+      b.plain = stats::CrossMoments(d, 1.0);
+      if (decay != 1.0) b.decayed = stats::CrossMoments(d, decay);
+    };
 
-    cf.features.reserve(features.size());
-    for (const VarIndex f : features) {
-      const auto& fv = space.var(f);
-      cf.features.push_back(MetricRef{fv.entity, fv.kind});
+    // The block: the store's, extended by the rows below every column's
+    // append mark, or a transient one. Rows the store may not keep are
+    // folded into a per-request copy; cold builds fold every row from zero.
+    MomentBlock transient;
+    const MomentBlock* blk = &transient;
+    std::unique_lock<std::mutex> held;
+    bool reused = false;
+    if (opts.moment_store != nullptr) {
+      std::uint64_t key = hash_mix(0xB10C4B11u, train_begin);
+      key = hash_mix(key, std::bit_cast<std::uint64_t>(decay));
+      for (std::size_t c = 0; c < d; ++c) {
+        key = hash_mix(key, (static_cast<std::uint64_t>(
+                                 refs[c].entity.value()) << 32) |
+                                refs[c].kind.value());
+        key = hash_mix(key, ids[c]);
+      }
+      MomentStore::Slot& slot = opts.moment_store->slot(key);
+      held = std::unique_lock<std::mutex>(slot.mu);
+      MomentBlock& b = slot.block;
+      if (b.cols.empty()) init(b);
+      if (b.cols == refs && b.history == ids && b.begin == train_begin &&
+          b.end() <= train_end) {
+        reused = b.rows() > 0;
+        b.extend(cs, std::clamp(min_mark, train_begin, train_end));
+        if (b.end() == train_end) {
+          blk = &b;  // derived under the block's lock
+        } else {
+          transient = b;
+          held.unlock();
+        }
+      } else {
+        held.unlock();  // the window ends before the block's rows
+        init(transient);
+      }
+    } else {
+      init(transient);
     }
-    cf.robust_center = stats::median(ty.values);
-    cf.robust_sigma = stats::mad_sigma(ty.values);
+    if (blk == &transient) transient.extend(cs, train_end);
+#ifndef MURPHY_OBS_DISABLED
+    (reused ? c_block_hits : c_block_misses)->add(1);
+#else
+    (void)reused;
+#endif
 
+    CachedFactor cf = fit_block(*blk, cs, train_begin, train_end, opts);
+    if (c_corr_cells != nullptr) c_corr_cells->add(d - 1);
     if (c_fits != nullptr) c_fits->add(1);
     if (fit_span.enabled()) {
       fit_span.arg("features",
                    static_cast<std::uint64_t>(cf.features.size()));
-      fit_span.arg("rows", static_cast<std::uint64_t>(n_rows));
+      fit_span.arg("rows", static_cast<std::uint64_t>(blk->rows()));
     }
     return cf;
   };
@@ -207,13 +272,31 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     conditionals_[target] = std::move(cond);
   };
 
-  if (opts.factor_cache != nullptr && opts.metrics != nullptr) {
-    c_cache_hits = opts.metrics->counter("cache.factor_hits");
-    c_cache_misses = opts.metrics->counter("cache.factor_misses");
+  // Factor-cache keys: one (kind, epoch) digest per graph node, computed
+  // once here instead of once per target that reads the node.
+  std::vector<std::uint64_t> node_digest;
+  if (opts.factor_cache != nullptr) {
+    if (opts.metrics != nullptr) {
+      c_cache_hits = opts.metrics->counter("cache.factor_hits");
+      c_cache_misses = opts.metrics->counter("cache.factor_misses");
+    }
+    node_digest.resize(graph.node_count());
+    for (graph::NodeIndex nd = 0; nd < graph.node_count(); ++nd) {
+      const EntityId e = graph.entity_of(nd);
+      std::uint64_t h = hash_mix(0xD16E57u, e.value());
+      for (const VarIndex v : space.vars_of(nd)) {
+        const MetricKindId k = space.var(v).kind;
+        h = hash_mix(h, k.value());
+        h = hash_mix(h, db.metrics().series_epoch(e, k));
+      }
+      node_digest[nd] = h;
+    }
   }
+  const std::uint64_t window_key =
+      (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
 
-  // One ridge fit per variable, all independent: parallelize over targets.
-  // Each fit is a pure function of its histories and the options, so the
+  // One fit per variable, all independent: parallelize over targets. Each
+  // fit is a pure function of its histories and the options, so the
   // trained set is bitwise identical at any thread count.
   parallel_for(opts.num_threads, space.size(), [&](std::size_t t) {
     const VarIndex target = t;
@@ -221,29 +304,18 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       const auto& tvar = space.var(target);
       std::uint64_t key = hash_mix(0x0FAC70C5u, tvar.entity.value());
       key = hash_mix(key, tvar.kind.value());
-      // Sorted in-neighbor entity set: equal keys => identical candidate
-      // feature set => identical selection and fit (see FactorCache).
-      std::vector<std::uint32_t> nbrs;
+      key = hash_mix(key, node_digest[tvar.node]);
+      // Sorted in-neighbor entity set, each with its series digest: equal
+      // keys => identical candidate feature set over identical histories
+      // => identical selection and fit (see FactorCache).
+      std::vector<std::pair<std::uint32_t, graph::NodeIndex>> nbrs;
       for (const graph::NodeIndex nb : graph.in_neighbors(tvar.node))
-        nbrs.push_back(graph.entity_of(nb).value());
+        nbrs.emplace_back(graph.entity_of(nb).value(), nb);
       std::sort(nbrs.begin(), nbrs.end());
-      for (const std::uint32_t e : nbrs) key = hash_mix(key, e);
-      // Fine-grained invalidation: the fit is a pure function of the target
-      // and candidate-feature histories, so mix the (kind, epoch) vector of
-      // every series the trainer may read — the target entity's and each
-      // sorted in-neighbor's metric kinds. A write to any of them (or a
-      // freshly appearing series) changes the key; everything else keeps
-      // hitting (see factor_cache.h).
-      const auto mix_entity_series = [&](std::uint32_t ev) {
-        const EntityId e(ev);
-        for (const MetricKindId k : db.metrics().kinds_of(e)) {
-          key = hash_mix(key, (static_cast<std::uint64_t>(ev) << 32) |
-                                  k.value());
-          key = hash_mix(key, db.metrics().series_epoch(e, k));
-        }
-      };
-      mix_entity_series(tvar.entity.value());
-      for (const std::uint32_t e : nbrs) mix_entity_series(e);
+      for (const auto& [e, nb] : nbrs) {
+        key = hash_mix(key, e);
+        key = hash_mix(key, node_digest[nb]);
+      }
       key = hash_mix(key, window_key);  // not in the generation fingerprint
 
       bool trained = false;

@@ -5,7 +5,11 @@
 // neighbor metrics are selected by correlation (the "one in ten" rule), a
 // ridge regression is fit on the training window, and the Gaussian residual
 // sigma makes the conditional a sampling distribution rather than a point
-// predictor. Ridge is the only factor family: Fig. 8a, which compares it
+// predictor. Every one of those quantities is read from one MomentBlock per
+// target — the shifted cross-product moments of the target and all its
+// candidates over the window (factor_cache.h) — so training is a
+// row-sequential fold followed by a k x k solve, and a window that grew by a
+// few rows extends the stored block instead of refitting the history. Ridge is the only factor family: Fig. 8a, which compares it
 // against GMM, SVM and small neural nets on the same selected features,
 // fits those families itself (bench/bench_fig8a_models.cpp).
 #pragma once
@@ -20,7 +24,6 @@
 #include "src/core/metric_space.h"
 #include "src/obs/hooks.h"
 #include "src/stats/ridge.h"
-#include "src/stats/window_stats.h"
 
 namespace murphy::core {
 
@@ -108,14 +111,14 @@ struct FactorTrainingOptions {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   std::uint64_t trace_parent = 0;
-  // Optional training caches (null = train everything locally), attached
-  // by TrainingCaches::attach, which owns their invalidation (see
-  // factor_cache.h). window_stats: shared per-column moment cache, so
-  // correlations against cached columns are single dot products.
-  // factor_cache: cross-symptom factor reuse. Both yield bitwise-identical
-  // factors (see their headers for the proofs).
-  stats::WindowStats* window_stats = nullptr;
+  // Optional training caches (null = train everything cold), attached by
+  // TrainingCaches::attach, which owns their invalidation (see
+  // factor_cache.h). factor_cache: exact-repeat factor reuse across
+  // symptoms and requests. moment_store: per-target sufficient statistics
+  // that a growing window extends by its appended rows only. Both yield
+  // factors bitwise identical to a cold training.
   FactorCache* factor_cache = nullptr;
+  MomentStore* moment_store = nullptr;
 };
 
 // Flattened, allocation-free view of the trained conditionals, built once

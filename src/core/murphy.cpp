@@ -166,6 +166,9 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     double anomaly;
   };
   std::vector<std::optional<Accepted>> verdicts(candidates.size());
+  // Observed in candidate order after the join: a histogram sum taken in
+  // completion order would differ in its last bits from run to run.
+  std::vector<std::optional<double>> p_values(candidates.size());
   std::vector<obs::CandidateAudit> audits(
       hooks.collect_audit ? candidates.size() : 0);
   parallel_for(opts_.num_threads, candidates.size(), [&](std::size_t i) {
@@ -229,10 +232,12 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
     }
     if (c_resamples != nullptr) c_resamples->add(verdict.node_resamples);
     if (c_kernel_cells != nullptr) c_kernel_cells->add(verdict.kernel_cells);
-    if (h_pvalue != nullptr && verdict.path_len > 0)
-      h_pvalue->observe(verdict.p_value);
+    if (verdict.path_len > 0) p_values[i] = verdict.p_value;
     if (verdict.is_root_cause && c_accepted != nullptr) c_accepted->add(1);
   });
+  if (h_pvalue != nullptr)
+    for (const auto& p : p_values)
+      if (p) h_pvalue->observe(*p);
   std::vector<Accepted> accepted;
   for (const auto& v : verdicts)
     if (v) accepted.push_back(*v);

@@ -217,7 +217,7 @@ void DiagnosisService::stop() {
 
 void DiagnosisService::maintain() {
   // The exclusive stream lock is the proof that no diagnosis holds a
-  // ColumnMoments / CachedFactor reference (workers hold the shared lock
+  // moment-store slot / CachedFactor reference (workers hold the shared lock
   // for their whole run), which is prune()'s precondition.
   TelemetryStream::WriteLock lock = stream_.write();
   caches_.prune(opts_.cache_max_entries);

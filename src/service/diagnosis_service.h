@@ -16,7 +16,7 @@
 // with the same configured seed; workers hold the stream's shared lock for
 // the whole run so the db version cannot move mid-diagnosis; and the shared
 // training caches yield bitwise-identical factors by construction (see
-// FactorCache / WindowStats). Cancellation cannot break this — it only
+// FactorCache / MomentStore). Cancellation cannot break this — it only
 // abandons phases, never alters a completed one.
 //
 // Cache invalidation: the shared core::TrainingCaches, the same regime

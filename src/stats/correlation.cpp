@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "src/stats/matrix.h"
 #include "src/stats/summary.h"
 
 namespace murphy::stats {
@@ -44,7 +43,7 @@ void ranks_into(std::span<const double> x, std::vector<std::size_t>& order,
   }
 }
 
-// Shared constancy test of pearson()/pearson_centered(): sxx at most
+// Shared constancy test of pearson()/pearson_moments(): sxx at most
 // kCorrelationRelTol^2 of the column's total sum of squares. The mean square
 // is reconstructed as mean^2 + sxx/n, so both entry points decide from the
 // exact same inputs and stay bit-identical. The negated `!(>)` form also
@@ -77,27 +76,16 @@ double pearson(std::span<const double> x, std::span<const double> y) {
     sxx += dx * dx;
     syy += dy * dy;
   }
-  const double n_d = static_cast<double>(n);
-  if (column_degenerate(sxx, n_d, mx) || column_degenerate(syy, n_d, my))
+  return pearson_moments(sxy, sxx, syy, static_cast<double>(n), mx, my);
+}
+
+double pearson_moments(double sxy, double sxx, double syy, double n,
+                       double mx, double my) {
+  if (n < 2.0) return 0.0;
+  if (column_degenerate(sxx, n, mx) || column_degenerate(syy, n, my))
     return 0.0;
   const double r = sxy / std::sqrt(sxx * syy);
   return std::isfinite(r) ? r : 0.0;  // overflowed sxx*syy -> defined 0
-}
-
-double pearson_centered(std::span<const double> cx, double sxx, double mx,
-                        std::span<const double> cy, double syy, double my) {
-  assert(cx.size() == cy.size());
-  if (cx.size() < 2) return 0.0;
-  const double n_d = static_cast<double>(cx.size());
-  if (column_degenerate(sxx, n_d, mx) || column_degenerate(syy, n_d, my))
-    return 0.0;
-  // Summing cx[i]*cy[i] in index order performs the exact add sequence the
-  // fused loop in pearson() performs for its sxy accumulator, so this is
-  // bit-identical to pearson() on the raw columns (the three accumulators
-  // there are independent).
-  const double sxy = dot_kernel(cx.data(), cy.data(), cx.size());
-  const double r = sxy / std::sqrt(sxx * syy);
-  return std::isfinite(r) ? r : 0.0;
 }
 
 double spearman(std::span<const double> x, std::span<const double> y) {

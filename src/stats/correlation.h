@@ -24,15 +24,13 @@ inline constexpr double kCorrelationRelTol = 1e-12;
 [[nodiscard]] double pearson(std::span<const double> x,
                              std::span<const double> y);
 
-// Pearson from precomputed centered columns (cx[i] = x[i] - mean(x)), their
-// sums of squared deviations, and their means (mx/my carry the scale the
-// relative constancy test needs — centered columns alone can't). Bit-
-// identical to pearson() on the raw columns; lets a window cache
-// (stats::ColumnMoments) turn each pairwise correlation into a single dot
-// product instead of a mean/variance rescan.
-[[nodiscard]] double pearson_centered(std::span<const double> cx, double sxx,
-                                      double mx, std::span<const double> cy,
-                                      double syy, double my);
+// Pearson from centered sums: sxy, sxx, syy are the sums of products of
+// deviations from the means mx, my over n rows (mx/my carry the scale the
+// relative constancy test needs; the sums alone can't). pearson() is this
+// function over its own two-pass sums, so a caller holding the sums (the
+// trainer's moment blocks) makes the same constancy decision.
+[[nodiscard]] double pearson_moments(double sxy, double sxx, double syy,
+                                     double n, double mx, double my);
 
 // Midranks (average rank for ties) of x, as used by spearman(). Exposed so
 // the window cache can precompute rank columns once per variable.

@@ -166,6 +166,86 @@ void RidgeRegression::fit_weighted(const Matrix& x, const Vector& y,
   fitted_ = true;
 }
 
+void RidgeRegression::fit_moments(
+    const CenteredMoments& fit, const CenteredMoments& plain,
+    const std::function<double(const RidgeRegression&)>& exact_residual) {
+  const std::size_t p = fit.mean.size() - 1;
+  assert(plain.mean.size() == p + 1);
+#ifndef MURPHY_OBS_DISABLED
+  static obs::Counter* const c_fits =
+      obs::global_metrics().counter("stats.ridge_fits");
+  c_fits->add(1);
+#endif
+  const double w_total = fit.weight > 0.0 ? fit.weight : 1.0;
+  feat_mean_.assign(p, 0.0);
+  feat_scale_.assign(p, 1.0);
+  std::size_t degenerate_cols = 0;
+  for (std::size_t j = 0; j < p; ++j) {
+    feat_mean_[j] = fit.mean[j + 1];
+    const double sd = std::sqrt(fit.cross.at(j + 1, j + 1) / w_total);
+    if (sd > 1e-12) {
+      feat_scale_[j] = sd;
+    } else {
+      ++degenerate_cols;  // constant column -> weight 0
+    }
+  }
+#ifndef MURPHY_OBS_DISABLED
+  if (degenerate_cols > 0) {
+    static obs::Counter* const c_degenerate =
+        obs::global_metrics().counter("train.degenerate_columns");
+    c_degenerate->add(degenerate_cols);
+  }
+#else
+  (void)degenerate_cols;
+#endif
+  y_mean_ = fit.mean[0];
+
+  // The Gram matrix and X^T y of the standardized, sqrt(w)-scaled design:
+  // the centered moments divided by the column scales.
+  Matrix a(p, p);
+  Vector b(p);
+  for (std::size_t j = 0; j < p; ++j) {
+    for (std::size_t l = 0; l < p; ++l)
+      a.at(j, l) =
+          fit.cross.at(j + 1, l + 1) / (feat_scale_[j] * feat_scale_[l]);
+    b[j] = fit.cross.at(0, j + 1) / feat_scale_[j];
+  }
+  const double lambda = l2_ * std::max(1.0, w_total) / 256.0;
+  for (std::size_t j = 0; j < p; ++j) a.at(j, j) += lambda + 1e-9;
+  auto solved = solve_spd(a, b);
+  if (solved &&
+      std::any_of(solved->begin(), solved->end(),
+                  [](double w) { return !std::isfinite(w); }))
+    solved.reset();
+  w_ = solved ? std::move(*solved) : Vector(p, 0.0);
+  fitted_ = true;
+
+  // Residual variance = Var(y - sum_j beta_j x_j) over the plain block:
+  // u^T C u with u = (1, -beta), beta_j = w_j / scale_j.
+  sigma_ = 0.0;
+  if (plain.rows < 2) return;
+  Vector u(p + 1);
+  u[0] = 1.0;
+  for (std::size_t j = 0; j < p; ++j) u[j + 1] = -w_[j] / feat_scale_[j];
+  double q = 0.0;
+  double scale = 0.0;
+  for (std::size_t i = 0; i <= p; ++i)
+    for (std::size_t j = 0; j <= p; ++j) {
+      q += u[i] * u[j] * plain.cross.at(i, j);
+      scale += std::abs(u[i] * u[j]) * plain.magnitude.at(i, j);
+    }
+  if (q > 1e-8 * scale && std::isfinite(q)) {
+    sigma_ = std::sqrt(q / static_cast<double>(plain.rows - 1));
+    return;
+  }
+#ifndef MURPHY_OBS_DISABLED
+  static obs::Counter* const c_exact =
+      obs::global_metrics().counter("train.residual_exact_passes");
+  c_exact->add(1);
+#endif
+  sigma_ = exact_residual(*this);
+}
+
 double RidgeRegression::predict(std::span<const double> x) const {
   assert(fitted_);
   assert(x.size() == w_.size());

@@ -6,6 +6,9 @@
 // week of telemetry.
 #pragma once
 
+#include <functional>
+
+#include "src/stats/moments.h"
 #include "src/stats/predictor.h"
 
 namespace murphy::stats {
@@ -21,6 +24,19 @@ class RidgeRegression final : public Predictor {
   // online" training (§7 of the paper, future work): long histories inform
   // the model without drowning the freshest in-incident points.
   void fit_weighted(const Matrix& x, const Vector& y, const Vector& weights);
+
+  // The same standardized ridge system, solved from sufficient statistics
+  // over the columns (y, x_1..x_p), y first: `fit` supplies the weighted
+  // moments (standardization, Gram, X^T y, intercept), `plain` the uniform
+  // ones the residual sigma is taken from (sample stddev, n-1, as
+  // fit_weighted() computes it row by row). The residual is a quadratic
+  // form in `plain` that cancels as R^2 -> 1; when fewer than ~8
+  // significant digits of it survive, `exact_residual` (one pass over the
+  // rows, given the fitted model) supplies it instead and the fallback is
+  // counted (`train.residual_exact_passes`).
+  void fit_moments(
+      const CenteredMoments& fit, const CenteredMoments& plain,
+      const std::function<double(const RidgeRegression&)>& exact_residual);
   [[nodiscard]] double predict(std::span<const double> x) const override;
   [[nodiscard]] double residual_sigma() const override { return sigma_; }
   [[nodiscard]] ModelKind kind() const override { return ModelKind::kRidge; }

@@ -48,16 +48,34 @@ double zscore(double x, double mu, double sigma, double sigma_floor) {
   return (x - mu) / std::max(sigma, sigma_floor);
 }
 
+namespace {
+
+// Linear-interpolated quantile of a sorted sample, reading its order
+// statistics through `at`.
+template <typename At>
+double sorted_quantile(std::size_t n, double q, At at) {
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return at(lo) * (1.0 - frac) + at(hi) * frac;
+}
+
+// 1.4826 * MAD, or 0.1 * sigma when the MAD degenerates to 0 (heavily
+// quantized series, >50% identical values).
+double robust_or_fallback(double mad, double sigma) {
+  const double robust = 1.4826 * mad;
+  return robust > 1e-12 ? robust : 0.1 * sigma;
+}
+
+}  // namespace
+
 double quantile(std::span<const double> xs, double q) {
   assert(!xs.empty());
   assert(q >= 0.0 && q <= 1.0);
   std::vector<double> v(xs.begin(), xs.end());
   std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(pos));
-  const auto hi = static_cast<std::size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return sorted_quantile(v.size(), q, [&](std::size_t i) { return v[i]; });
 }
 
 double median(std::span<const double> xs) {
@@ -70,12 +88,50 @@ double mad_sigma(std::span<const double> xs) {
   const double med = median(xs);
   std::vector<double> dev(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) dev[i] = std::abs(xs[i] - med);
-  const double mad = median(dev);
-  const double robust = 1.4826 * mad;
-  if (robust > 1e-12) return robust;
-  // MAD degenerates to 0 for heavily quantized series (>50% identical
-  // values); only then fall back to a fraction of the classic scale.
-  return 0.1 * stddev(xs);
+  return robust_or_fallback(median(dev), stddev(xs));
+}
+
+double median_sorted(std::span<const double> sorted) {
+  if (sorted.empty()) return 0.0;
+  return sorted_quantile(sorted.size(), 0.5,
+                         [&](std::size_t i) { return sorted[i]; });
+}
+
+double mad_sigma_sorted(std::span<const double> sorted, double sigma) {
+  const std::size_t n = sorted.size();
+  if (n < 2) return 0.0;
+  const double med = median_sorted(sorted);
+  // The deviations |x - med| of the values below the median, walked
+  // downward (run a), and of the rest, walked upward (run b), are two
+  // ascending runs; their merge is the sorted deviation sample. Its middle
+  // order statistics are found by bisecting how many of the smallest
+  // `take` deviations come from run a.
+  const std::size_t split = static_cast<std::size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), med) - sorted.begin());
+  const std::size_t na = split;
+  const std::size_t nb = n - split;
+  const auto a = [&](std::size_t i) { return std::abs(sorted[split - 1 - i] - med); };
+  const auto b = [&](std::size_t j) { return std::abs(sorted[split + j] - med); };
+  const std::size_t take = (n - 1) / 2 + 1;  // through the lower middle
+  std::size_t lo = take > nb ? take - nb : 0;
+  std::size_t hi = std::min(take, na);
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    if (a(i) < b(take - 1 - i))
+      lo = i + 1;
+    else
+      hi = i;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t from_b = take - lo;
+  const double lower = std::max(lo > 0 ? a(lo - 1) : -kInf,
+                                from_b > 0 ? b(from_b - 1) : -kInf);
+  const double upper = std::min(lo < na ? a(lo) : kInf,
+                                from_b < nb ? b(from_b) : kInf);
+  const double mad = sorted_quantile(n, 0.5, [&](std::size_t i) {
+    return i == (n - 1) / 2 ? lower : upper;
+  });
+  return robust_or_fallback(mad, sigma);
 }
 
 double mase(std::span<const double> predicted, std::span<const double> actual) {

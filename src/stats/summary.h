@@ -49,6 +49,14 @@ class OnlineStats {
 // stddev when the MAD is degenerate (heavily discrete data).
 [[nodiscard]] double mad_sigma(std::span<const double> xs);
 
+// median() and mad_sigma() of an already ascending-sorted sample, without
+// a copy or a sort: bitwise equal to the unsorted entry points, except
+// that mad_sigma_sorted's degenerate-MAD fallback is 0.1 * `sigma`, the
+// caller's classic stddev of the sample.
+[[nodiscard]] double median_sorted(std::span<const double> sorted);
+[[nodiscard]] double mad_sigma_sorted(std::span<const double> sorted,
+                                      double sigma);
+
 // Mean Absolute Scaled Error of predictions vs actuals, scaled by the mean
 // absolute one-step (naive) change of `actual`. This is the error metric of
 // the paper's Figure 8a model comparison. Returns a large sentinel when the

@@ -1,6 +1,7 @@
 #include "src/telemetry/metric_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -22,14 +23,28 @@ void count_defect(const char* name, std::uint64_t n) {
 #endif
 }
 
+// Process-wide, so a replaced or re-created series never reuses an id.
+std::atomic<std::uint64_t> g_next_history{1};
+
+const std::vector<MetricKindId> kNoKinds;
+
 }  // namespace
 
 TimeSeries::TimeSeries(std::vector<double> values)
-    : values_(std::move(values)), valid_(values_.size(), true) {}
+    : values_(std::move(values)), valid_(values_.size(), true) {
+  new_history();
+  append_mark_ = values_.size();
+}
 
 TimeSeries::TimeSeries(std::vector<double> values, std::vector<bool> valid)
     : values_(std::move(values)), valid_(std::move(valid)) {
   assert(values_.size() == valid_.size());
+  new_history();
+  append_mark_ = values_.size();
+}
+
+void TimeSeries::new_history() {
+  history_id_ = g_next_history.fetch_add(1, std::memory_order_relaxed);
 }
 
 double TimeSeries::value_or(TimeIndex t, double fallback) const {
@@ -127,6 +142,10 @@ void MetricStore::put(EntityId entity, MetricKindId kind, TimeSeries series) {
   ++version_;
   ++epochs_[ref];
   const bool fresh = it == series_.end();
+  // A replacement is a new history, even when `series` is a copy of a
+  // stored one (a copy carries its source's id).
+  series.new_history();
+  series.append_mark_ = series.size();
   series_.insert_or_assign(ref, std::move(series));
   if (fresh) kinds_[entity].push_back(kind);
 }
@@ -142,14 +161,20 @@ bool MetricStore::upsert_cell(EntityId entity, MetricKindId kind, TimeIndex t,
              .emplace(ref, TimeSeries(std::vector<double>(axis_.size(), 0.0),
                                       std::vector<bool>(axis_.size(), false)))
              .first;
+    it->second.append_mark_ = 0;  // nothing written yet
     kinds_[entity].push_back(kind);
   }
+  TimeSeries& ts = it->second;
+  if (t < ts.append_mark_)
+    ts.new_history();  // a rewrite: rows below the mark may change
+  else
+    ts.append_mark_ = t + 1;
   if (std::isfinite(v)) {
-    it->second.set(t, v);
+    ts.set(t, v);
   } else {
     // Same defect semantics as put(): a non-finite payload never becomes a
     // readable slice.
-    it->second.invalidate(t);
+    ts.invalidate(t);
     count_defect("ingest.nonfinite_dropped", 1);
   }
   ++version_;
@@ -178,12 +203,14 @@ TimeSeries* MetricStore::find_mutable(EntityId entity, MetricKindId kind) {
   // and this series' epoch (the write is attributable to exactly one series).
   ++version_;
   ++epochs_[MetricRef{entity, kind}];
+  it->second.new_history();
   return &it->second;
 }
 
-std::vector<MetricKindId> MetricStore::kinds_of(EntityId entity) const {
+const std::vector<MetricKindId>& MetricStore::kinds_of(
+    EntityId entity) const {
   const auto it = kinds_.find(entity);
-  return it == kinds_.end() ? std::vector<MetricKindId>{} : it->second;
+  return it == kinds_.end() ? kNoKinds : it->second;
 }
 
 void MetricStore::erase(EntityId entity, MetricKindId kind) {

@@ -66,6 +66,14 @@ class TimeSeries {
   // Appends `n` missing slices (axis growth under streaming ingestion).
   void append_missing(std::size_t n);
 
+  // History identity (see MetricStore). append_mark() is 1 + the highest
+  // slice MetricStore::upsert_cell ever wrote (the series length for a
+  // put() series). history_id() is process-unique and moves whenever a
+  // slice below the mark may have changed, so two reads of [0, mark) under
+  // one history id see the same bits.
+  [[nodiscard]] std::uint64_t history_id() const { return history_id_; }
+  [[nodiscard]] TimeIndex append_mark() const { return append_mark_; }
+
   // Values restricted to [from, to) with missing slices replaced by
   // `fallback`; the shape the trainers consume. Total: an inverted window
   // (to < from) is empty, slices beyond the axis read as `fallback`.
@@ -73,8 +81,15 @@ class TimeSeries {
                                            double fallback = 0.0) const;
 
  private:
+  friend class MetricStore;
+
+  // Draws a fresh process-unique history id.
+  void new_history();
+
   std::vector<double> values_;
   std::vector<bool> valid_;
+  std::uint64_t history_id_ = 0;
+  TimeIndex append_mark_ = 0;
 };
 
 class SnapshotIo;  // snapshot.cpp serializer; needs raw member access
@@ -107,6 +122,15 @@ class MetricStore {
     return structural_version_;
   }
 
+  // History ids and append marks (TimeSeries::history_id/append_mark): the
+  // incremental trainer (core::MomentStore) keeps per-series sufficient
+  // statistics over the rows below a series' append mark and trusts them
+  // for as long as the history id holds. The id moves when a write lands
+  // below the append mark (upsert_cell), when the series is replaced
+  // (put), exposed for raw writes (find_mutable) or erased; an append at
+  // or past the mark only advances the mark. Both live on the TimeSeries
+  // the write already found, so upsert_cell pays no extra lookup.
+  //
   // Per-series write epoch: bumped every time (entity, kind) is written
   // (put / upsert_cell / find_mutable). 0 = the series has never existed;
   // the first write makes it 1. Epoch-keyed caches mix this into their entry
@@ -143,8 +167,11 @@ class MetricStore {
                                        MetricKindId kind) const;
   [[nodiscard]] TimeSeries* find_mutable(EntityId entity, MetricKindId kind);
 
-  // Metric kinds recorded for this entity, in insertion order.
-  [[nodiscard]] std::vector<MetricKindId> kinds_of(EntityId entity) const;
+  // Metric kinds recorded for this entity, in insertion order. The
+  // reference is valid until the next write that adds or erases a series
+  // of this entity.
+  [[nodiscard]] const std::vector<MetricKindId>& kinds_of(
+      EntityId entity) const;
 
   // Removes one metric (Table 2 "missing metric" degradation).
   void erase(EntityId entity, MetricKindId kind);

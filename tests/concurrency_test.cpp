@@ -4,8 +4,10 @@
 // each parallel work item draws from its own mix_seed-derived RNG stream.
 // Plus unit tests for the ThreadPool / parallel_for machinery itself.
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/batch.h"
+#include "src/core/factor_cache.h"
 #include "src/core/murphy.h"
 #include "src/eval/matrix.h"
 
@@ -370,6 +373,71 @@ TEST(Determinism, InstrumentedDiagnosisBitwiseIdenticalAcrossThreadCounts) {
       }
       EXPECT_EQ(a.value, b.value);
       EXPECT_EQ(a.bucket_counts, b.bucket_counts);
+    }
+  }
+}
+
+TEST(Determinism, PValueHistogramSumBitwiseAcrossThreadsAndRuns) {
+  // The p-value histogram is observed in candidate order after the parallel
+  // join, so even its float sum is a pure function of the diagnosis.
+  const auto env = make_chain_env();
+  const auto p_value_sum = [](const InstrumentedRun& run) {
+    for (const auto& e : run.metrics.entries)
+      if (e.name == "infer.p_value") return std::make_pair(e.value, e.sum);
+    return std::make_pair(-1.0, 0.0);
+  };
+  const auto serial = p_value_sum(diagnose_chain_instrumented(env, 1));
+  ASSERT_GT(serial.first, 1.0);  // several candidates were tested
+  for (int rep = 0; rep < 4; ++rep) {
+    for (const std::size_t threads : {1u, 8u}) {
+      SCOPED_TRACE("num_threads=" + std::to_string(threads));
+      const auto run = p_value_sum(diagnose_chain_instrumented(env, threads));
+      EXPECT_EQ(run.first, serial.first);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(run.second),
+                std::bit_cast<std::uint64_t>(serial.second));
+    }
+  }
+}
+
+TEST(Determinism, ConcurrentBlockExtensionMatchesCold) {
+  // Many trainings of growing windows race on one moment store (as service
+  // workers do under the shared lock); every one of them must still carry
+  // the bits of a cold training of its window.
+  const auto env = make_chain_env();
+  const std::vector<EntityId> seeds{env.d};
+  const auto g = graph::RelationshipGraph::build(env.db, seeds, 4);
+  const core::MetricSpace space(env.db, g);
+  const auto state = space.snapshot(env.db, 199);
+  core::MomentStore store;
+  const auto train = [&](TimeIndex end, core::MomentStore* s,
+                         std::size_t threads) {
+    core::FactorTrainingOptions topts;
+    topts.num_threads = threads;
+    topts.moment_store = s;
+    return core::FactorSet(env.db, g, space, 0, end, topts);
+  };
+  constexpr TimeIndex kFirst = 188;
+  std::vector<std::unique_ptr<core::FactorSet>> shared(200 - kFirst);
+  std::vector<std::thread> workers;
+  for (TimeIndex end = kFirst; end < 200; ++end)
+    workers.emplace_back([&, end] {
+      shared[end - kFirst] =
+          std::make_unique<core::FactorSet>(train(end, &store, 2));
+    });
+  for (std::thread& w : workers) w.join();
+  for (TimeIndex end = kFirst; end < 200; ++end) {
+    SCOPED_TRACE("end=" + std::to_string(end));
+    const core::FactorSet cold = train(end, nullptr, 1);
+    const core::FactorSet& got = *shared[end - kFirst];
+    for (core::VarIndex v = 0; v < cold.size(); ++v) {
+      EXPECT_EQ(cold.conditional(v).predict(state),
+                got.conditional(v).predict(state));
+      EXPECT_EQ(cold.conditional(v).residual_sigma(),
+                got.conditional(v).residual_sigma());
+      EXPECT_EQ(cold.conditional(v).robust_sigma(),
+                got.conditional(v).robust_sigma());
+      EXPECT_EQ(cold.conditional(v).hist_sigma(),
+                got.conditional(v).hist_sigma());
     }
   }
 }

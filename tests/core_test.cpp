@@ -11,6 +11,7 @@
 #include "src/core/anomaly.h"
 #include "src/core/batch.h"
 #include "src/core/explain.h"
+#include "src/core/factor_cache.h"
 #include "src/core/murphy.h"
 #include "src/core/sampler.h"
 #include "src/emulation/scenarios.h"
@@ -445,7 +446,7 @@ TEST(ConfigWindow, DiagnosisSurfacesRecentChangesOnly) {
 
 TEST(FactorModel, PoisonedSliceNoLongerNaNsEveryScore) {
   // The regression the ingest/kernel guards exist for: before them, one raw
-  // NaN slice in one series flowed into WindowStats moments and the ridge
+  // NaN slice in one series flowed into the training moments and the ridge
   // Gram matrix, turning EVERY candidate's score into NaN. Now it degrades
   // to a missing value and the diagnosis stays finite and non-empty.
   ChainFixture f(200, 15.0);
@@ -626,6 +627,266 @@ TEST(FactorCache, BatchChurnRetrainsOnlyTouchedFactors) {
   for (std::size_t s = 0; s < symptoms.size(); ++s)
     EXPECT_EQ(obs::to_jsonl(warm.per_symptom[s].audit),
               obs::to_jsonl(expected.per_symptom[s].audit));
+}
+
+// --- incremental training: the moment store ---------------------------------
+
+enterprise::EnterpriseIncident small_incident() {
+  enterprise::IncidentDatasetOptions opts;
+  opts.topology.num_apps = 6;
+  opts.topology.hosts = 8;
+  opts.topology.tors = 2;
+  opts.topology.ports_per_tor = 8;
+  opts.topology.datastores = 3;
+  opts.dynamics.slices = 168;
+  return enterprise::make_incident(2, opts);
+}
+
+// Every conditional of `a` and `b` agrees to the bit: selection, the fitted
+// model, the historical and robust moments and the sampling sigma.
+void expect_same_factors(const FactorSet& a, const FactorSet& b) {
+  ASSERT_EQ(a.size(), b.size());
+  std::size_t fitted = 0;
+  for (VarIndex v = 0; v < a.size(); ++v) {
+    SCOPED_TRACE("var " + std::to_string(v));
+    const MetricConditional& x = a.conditional(v);
+    const MetricConditional& y = b.conditional(v);
+    ASSERT_TRUE(std::equal(x.features().begin(), x.features().end(),
+                           y.features().begin(), y.features().end()));
+    EXPECT_EQ(x.hist_mean(), y.hist_mean());
+    EXPECT_EQ(x.hist_sigma(), y.hist_sigma());
+    EXPECT_EQ(x.robust_center(), y.robust_center());
+    EXPECT_EQ(x.robust_sigma(), y.robust_sigma());
+    EXPECT_EQ(x.residual_sigma(), y.residual_sigma());
+    ASSERT_EQ(x.model() == nullptr, y.model() == nullptr);
+    if (x.model() == nullptr) continue;
+    ++fitted;
+    EXPECT_EQ(x.model()->standardized_weights(),
+              y.model()->standardized_weights());
+    EXPECT_EQ(x.model()->feature_means(), y.model()->feature_means());
+    EXPECT_EQ(x.model()->feature_scales(), y.model()->feature_scales());
+    EXPECT_EQ(x.model()->intercept(), y.model()->intercept());
+  }
+  EXPECT_GT(fitted, 0u);
+}
+
+struct IncidentSpace {
+  enterprise::EnterpriseIncident inc = small_incident();
+  graph::RelationshipGraph graph = graph::RelationshipGraph::build(
+      inc.topo.db, std::vector<EntityId>{inc.symptom_entity});
+  MetricSpace space{inc.topo.db, graph};
+
+  FactorSet train(TimeIndex begin, TimeIndex end, MomentStore* store,
+                  std::size_t threads = 1, double half_life = 0.0) const {
+    FactorTrainingOptions opts;
+    opts.num_threads = threads;
+    opts.recency_half_life = half_life;
+    opts.moment_store = store;
+    return FactorSet(inc.topo.db, graph, space, begin, end, opts);
+  }
+};
+
+TEST(MomentStore, FreshEqualsExtendedBitwise) {
+  const IncidentSpace f;
+  const TimeIndex end = f.inc.incident_end;
+  for (const std::size_t threads : {1u, 8u}) {
+    for (const double half_life : {0.0, 24.0}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " half-life " +
+                   std::to_string(half_life));
+      const FactorSet cold = f.train(0, end, nullptr, threads, half_life);
+      MomentStore store;
+      // Extend one row at a time from end - 6; every step equals its cold.
+      for (TimeIndex e = end - 6; e <= end; ++e) {
+        const FactorSet extended = f.train(0, e, &store, threads, half_life);
+        if (e + 2 == end)
+          expect_same_factors(extended,
+                              f.train(0, e, nullptr, threads, half_life));
+        if (e == end) expect_same_factors(extended, cold);
+      }
+    }
+  }
+}
+
+TEST(MomentStore, NonStoreWindowsTrainBitwiseCold) {
+  const IncidentSpace f;
+  const TimeIndex end = f.inc.incident_end;
+  MomentStore store;
+  (void)f.train(0, end, &store);
+  // The window ends before the stored rows: a transient cold block.
+  expect_same_factors(f.train(0, end - 5, &store),
+                      f.train(0, end - 5, nullptr));
+  // A moved train_begin is a different block, built cold.
+  expect_same_factors(f.train(12, end, &store), f.train(12, end, nullptr));
+  // Recency weights ride their own decayed block.
+  expect_same_factors(f.train(0, end, &store, 1, 30.0),
+                      f.train(0, end, nullptr, 1, 30.0));
+  // And the stored uniform block is still intact afterwards.
+  expect_same_factors(f.train(0, end, &store), f.train(0, end, nullptr));
+}
+
+TEST(MomentStore, RewritesBelowTheAppendMarkInvalidateBlocks) {
+  IncidentSpace f;
+  const TimeIndex end = f.inc.incident_end;
+  telemetry::MetricStore& ms = f.inc.topo.db.metrics();
+  const EntityId e = f.inc.symptom_entity;
+  const MetricKindId k = f.inc.topo.db.catalog().find(f.inc.symptom_metric);
+  MomentStore store;
+  (void)f.train(0, end, &store);
+
+  // An ingest write below the append mark (a late or corrected sample).
+  ms.upsert_cell(e, k, 40, ms.find(e, k)->value(40) + 3.0);
+  expect_same_factors(f.train(0, end, &store), f.train(0, end, nullptr));
+
+  // A raw write through find_mutable.
+  ms.find_mutable(e, k)->set(41, 123.0);
+  expect_same_factors(f.train(0, end, &store), f.train(0, end, nullptr));
+}
+
+TEST(MomentStore, RowsPastTheAppendMarkAreFoldedPerRequest) {
+  // A streamed series that lags: written cell by cell up to end - 8, then
+  // each odd slice arrives one step late. Blocks that read it keep only the
+  // rows below its append mark; the rest of each window is folded per
+  // request, so the late cell (written at the mark, which moves no history
+  // id) is read fresh.
+  auto inc = small_incident();
+  MonitoringDb& db = inc.topo.db;
+  const EntityId e = inc.symptom_entity;
+  const MetricKindId lag = db.catalog().intern("lagging_metric");
+  const TimeIndex end = inc.incident_end;
+  for (TimeIndex t = 0; t + 8 < end; ++t)
+    db.metrics().upsert_cell(e, lag, t, std::cos(0.2 * static_cast<double>(t)));
+  const auto graph =
+      graph::RelationshipGraph::build(db, std::vector<EntityId>{e});
+  const MetricSpace space(db, graph);
+  MomentStore store;
+  const auto train = [&](TimeIndex to, MomentStore* s) {
+    FactorTrainingOptions opts;
+    opts.moment_store = s;
+    return FactorSet(db, graph, space, 0, to, opts);
+  };
+  for (TimeIndex t = end - 8; t < end; ++t) {
+    if (t % 2 == 0) {
+      if (t > end - 8) db.metrics().upsert_cell(e, lag, t - 1, -0.5);
+      db.metrics().upsert_cell(e, lag, t, 0.5);
+    }
+    expect_same_factors(train(t + 1, &store), train(t + 1, nullptr));
+  }
+}
+
+TEST(MomentStore, CollinearTargetKeepsExactResidual) {
+  // y = 2x + 3 exactly under a vanishing ridge: the residual quadratic form
+  // cancels to noise, so the trainer must take the exact row pass.
+  MonitoringDb db;
+  const EntityId a = db.add_entity(EntityType::kVm, "A");
+  const EntityId b = db.add_entity(EntityType::kVm, "B");
+  db.add_association(a, b, RelationKind::kGeneric);
+  const MetricKindId load = db.catalog().intern("cpu_util");
+  constexpr std::size_t kSlices = 120;
+  db.metrics().set_axis(TimeAxis(0.0, 10.0, kSlices));
+  std::vector<double> xa(kSlices), yb(kSlices);
+  for (std::size_t t = 0; t < kSlices; ++t) {
+    xa[t] = 1e3 + 7.0 * std::sin(0.3 * static_cast<double>(t));
+    yb[t] = 2.0 * xa[t] + 3.0;
+  }
+  db.metrics().put(a, load, xa);
+  db.metrics().put(b, load, yb);
+  const auto graph =
+      graph::RelationshipGraph::build(db, std::vector<EntityId>{b});
+  const MetricSpace space(db, graph);
+  FactorTrainingOptions opts;
+  opts.l2 = 1e-9;
+  const obs::Counter* exact =
+      obs::global_metrics().counter("train.residual_exact_passes");
+  const std::uint64_t before = exact->value();
+  const FactorSet factors(db, graph, space, 0, kSlices, opts);
+#ifndef MURPHY_OBS_DISABLED
+  EXPECT_GT(exact->value(), before);
+#else
+  (void)before;
+#endif
+
+  const VarIndex vb = *space.find(b, load);
+  const MetricConditional& c = factors.conditional(vb);
+  ASSERT_NE(c.model(), nullptr);
+  // The two-pass residual stddev of the fitted model over the rows.
+  std::vector<double> resid(kSlices);
+  for (std::size_t t = 0; t < kSlices; ++t) {
+    const double x[] = {xa[t]};
+    resid[t] = yb[t] - c.model()->predict(x);
+  }
+  EXPECT_NEAR(c.residual_sigma(), stats::stddev(resid), 1e-9);
+}
+
+TEST(MomentStore, FoldedCellsPerDiagnosisFlatInAxisLength) {
+  // After one appended row, an extended training folds the same number of
+  // cells whatever the history length: the cost is the new row only.
+#ifdef MURPHY_OBS_DISABLED
+  GTEST_SKIP() << "counted through stats.ridge_cells, compiled out";
+#endif
+  const auto cells_after_one_row = [](std::size_t slices) {
+    ChainFixture f(slices);
+    MomentStore store;
+    FactorTrainingOptions opts;
+    opts.moment_store = &store;
+    (void)FactorSet(f.db, f.graph, *f.space, 0, slices, opts);
+    f.db.metrics().extend_axis(1);
+    for (const EntityId e : {f.a, f.b, f.c})
+      f.db.metrics().upsert_cell(e, f.load, slices, 1.0);
+    const obs::Counter* cells =
+        obs::global_metrics().counter("stats.ridge_cells");
+    const std::uint64_t before = cells->value();
+    (void)FactorSet(f.db, f.graph, *f.space, 0, slices + 1, opts);
+    return cells->value() - before;
+  };
+  const std::uint64_t at_n = cells_after_one_row(150);
+  EXPECT_GT(at_n, 0u);
+  EXPECT_EQ(at_n, cells_after_one_row(300));
+}
+
+TEST(MomentStore, NonFiniteValuesDegradeToMissingFallback) {
+  ChainFixture f(60);
+  auto* ts = f.db.metrics().find_mutable(f.a, f.load);
+  ts->set(10, std::numeric_limits<double>::quiet_NaN());
+  ts->set(11, std::numeric_limits<double>::infinity());
+  const telemetry::TimeSeries* raw = ts;
+  std::vector<double> clean(raw->values().begin(), raw->values().end());
+  clean[10] = clean[11] = 0.0;
+  const telemetry::TimeSeries sanitized(clean);
+  MomentBlock poisoned, expected;
+  poisoned.cols = expected.cols = {MetricRef{f.a, f.load}};
+  poisoned.plain = expected.plain = stats::CrossMoments(1, 1.0);
+  const telemetry::TimeSeries* p[] = {raw};
+  const telemetry::TimeSeries* q[] = {&sanitized};
+  poisoned.extend(p, 60);
+  expected.extend(q, 60);
+  EXPECT_TRUE(std::isfinite(poisoned.plain.centered(0, 0)));
+  EXPECT_EQ(poisoned.plain.mean(0), expected.plain.mean(0));
+  EXPECT_EQ(poisoned.plain.centered(0, 0), expected.plain.centered(0, 0));
+  EXPECT_EQ(poisoned.sorted_target, expected.sorted_target);
+}
+
+TEST(MomentStore, GenerationResetAndPruneDropBlocks) {
+  MomentStore store;
+  store.reset(10);
+  MomentStore::Slot& slot = store.slot(7);
+  EXPECT_EQ(&store.slot(7), &slot);  // second lookup finds the same block
+  store.reset(10);                    // same generation: kept
+  EXPECT_EQ(store.size(), 1u);
+  store.reset(11);                    // new generation: dropped
+  EXPECT_EQ(store.size(), 0u);
+  for (std::uint64_t key = 0; key < 3; ++key) (void)store.slot(key);
+  const obs::Counter* prunes =
+      obs::global_metrics().counter("cache.moment_prunes");
+  const std::uint64_t before = prunes->value();
+  store.prune(3);  // at the bound: kept
+  EXPECT_EQ(store.size(), 3u);
+  store.prune(2);
+  EXPECT_EQ(store.size(), 0u);
+#ifndef MURPHY_OBS_DISABLED
+  EXPECT_EQ(prunes->value(), before + 1);
+#else
+  (void)before;
+#endif
 }
 
 }  // namespace

@@ -11,13 +11,13 @@
 #include "src/stats/correlation.h"
 #include "src/stats/gmm.h"
 #include "src/stats/matrix.h"
+#include "src/stats/moments.h"
 #include "src/stats/mlp.h"
 #include "src/stats/predictor.h"
 #include "src/stats/ridge.h"
 #include "src/stats/summary.h"
 #include "src/stats/svr.h"
 #include "src/stats/ttest.h"
-#include "src/stats/window_stats.h"
 
 namespace murphy::stats {
 namespace {
@@ -276,28 +276,20 @@ TEST(Correlation, CenteredKernelMatchesPearsonInBothToleranceRegimes) {
   }
   const auto check = [](const std::vector<double>& x,
                         const std::vector<double>& y) {
-    const ColumnMoments mx = build_column_moments(x);
-    const ColumnMoments my = build_column_moments(y);
-    EXPECT_EQ(pearson_centered(mx.centered, mx.sxx, mx.mean, my.centered,
-                               my.sxx, my.mean),
+    const double mx = mean(x), my = mean(y);
+    double sxy = 0.0, sxx = 0.0, syy = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      sxy += (x[i] - mx) * (y[i] - my);
+      sxx += (x[i] - mx) * (x[i] - mx);
+      syy += (y[i] - my) * (y[i] - my);
+    }
+    EXPECT_EQ(pearson_moments(sxy, sxx, syy, static_cast<double>(x.size()),
+                              mx, my),
               pearson(x, y));
   };
   check(tiny_x, tiny_y);
   check(huge_jitter, ramp);
   check(ramp, huge_jitter);
-}
-
-TEST(WindowStatsHardening, NonFiniteValuesDegradeToMissingFallback) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const ColumnMoments m =
-      build_column_moments({1.0, nan, 3.0, std::numeric_limits<double>::infinity()});
-  // The poisoned slices read as 0.0 (the missing-value fallback), so every
-  // moment is finite and matches the sanitized column.
-  const std::vector<double> sanitized{1.0, 0.0, 3.0, 0.0};
-  EXPECT_EQ(m.values, sanitized);
-  EXPECT_EQ(m.mean, mean(sanitized));
-  EXPECT_TRUE(std::isfinite(m.sxx));
-  EXPECT_TRUE(std::isfinite(m.sigma));
 }
 
 TEST(RidgeHardening, NonFiniteCellsDegradeInsteadOfPoisoningFit) {
@@ -589,82 +581,96 @@ TEST(Rng, NormalMomentsRoughlyCorrect) {
   EXPECT_NEAR(s.stddev(), 3.0, 0.1);
 }
 
-// ---------- window moment cache --------------------------------------------
+// ---------- row-sequential moments -----------------------------------------
 
-// Two correlated columns with a few exact ties (so midranks average).
+// Two correlated columns riding a large offset, with a few exact ties.
 std::pair<std::vector<double>, std::vector<double>> make_test_columns() {
   Rng rng(123);
   std::vector<double> x(64), y(64);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = std::sin(0.2 * static_cast<double>(i)) + rng.normal(0.0, 0.4);
+    x[i] = 1e4 + std::sin(0.2 * static_cast<double>(i)) +
+           rng.normal(0.0, 0.4);
     y[i] = 1.7 * x[i] + rng.normal(0.0, 0.6);
   }
-  x[10] = x[30];  // exact ties exercise the midrank path
+  x[10] = x[30];
   y[5] = y[41];
   return {x, y};
 }
 
-TEST(WindowStats, ColumnMomentsReproduceSummariesBitwise) {
-  const auto [x, y] = make_test_columns();
-  const ColumnMoments mx = build_column_moments(x);
-  const ColumnMoments my = build_column_moments(y);
-  // EXPECT_EQ on double demands exact (bitwise for non-NaN) equality.
-  EXPECT_EQ(mx.mean, mean(x));
-  EXPECT_EQ(mx.sigma, stddev(x));
-  EXPECT_EQ(pearson_centered(mx.centered, mx.sxx, mx.mean, my.centered,
-                             my.sxx, my.mean),
-            pearson(x, y));
+std::vector<double> interleave(const std::vector<double>& x,
+                               const std::vector<double>& y) {
+  std::vector<double> rows;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    rows.push_back(x[i]);
+    rows.push_back(y[i]);
+  }
+  return rows;
 }
 
-TEST(WindowStats, DegenerateColumnsMatchUncachedConventions) {
-  const ColumnMoments one = build_column_moments({42.0});
-  EXPECT_EQ(one.sigma, 0.0);  // n < 2: stddev() returns 0
-  const ColumnMoments flat = build_column_moments({3.0, 3.0, 3.0});
-  const ColumnMoments ramp = build_column_moments({1.0, 2.0, 3.0});
-  // Constant column: pearson() returns 0, and so must the kernel.
-  EXPECT_EQ(pearson_centered(flat.centered, flat.sxx, flat.mean,
-                             ramp.centered, ramp.sxx, ramp.mean),
+TEST(CrossMoments, MatchesTwoPassSummaries) {
+  const auto [x, y] = make_test_columns();
+  CrossMoments m(2, 1.0);
+  m.add_rows(interleave(x, y));
+  ASSERT_EQ(m.rows(), x.size());
+  EXPECT_NEAR(m.mean(0), mean(x), 1e-9);
+  EXPECT_NEAR(std::sqrt(m.centered(0, 0) / 63.0), stddev(x), 1e-9);
+  EXPECT_NEAR(pearson_moments(m.centered(0, 1), m.centered(0, 0),
+                              m.centered(1, 1), 64.0, m.mean(0), m.mean(1)),
+              pearson(x, y), 1e-12);
+}
+
+TEST(CrossMoments, FoldingInPiecesIsBitwiseFoldingAtOnce) {
+  const auto [x, y] = make_test_columns();
+  const std::vector<double> rows = interleave(x, y);
+  for (const double decay : {1.0, 0.97}) {
+    CrossMoments whole(2, decay), pieces(2, decay);
+    whole.add_rows(rows);
+    const std::span<const double> all(rows);
+    pieces.add_rows(all.subspan(0, 2));
+    pieces.add_rows(all.subspan(2, 40));
+    pieces.add_rows(all.subspan(42));
+    EXPECT_EQ(whole.weight(), pieces.weight());
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(whole.mean(i), pieces.mean(i));
+      for (std::size_t j = 0; j < 2; ++j)
+        EXPECT_EQ(whole.centered(i, j), pieces.centered(i, j));
+    }
+  }
+}
+
+TEST(CrossMoments, DegenerateColumnsMatchUncachedConventions) {
+  CrossMoments one(2, 1.0);
+  one.add_rows(std::vector<double>{42.0, 1.0});
+  // n < 2: no correlation, and a single row has no spread.
+  EXPECT_EQ(one.centered(0, 0), 0.0);
+  EXPECT_EQ(pearson_moments(one.centered(0, 1), one.centered(0, 0),
+                            one.centered(1, 1), 1.0, one.mean(0),
+                            one.mean(1)),
+            0.0);
+  // A constant column folds to exact zeros (its shift is its value), so
+  // pearson's constancy test sees the same sxx = 0 as the two-pass form.
+  CrossMoments flat(2, 1.0);
+  flat.add_rows(std::vector<double>{3.0, 1.0, 3.0, 2.0, 3.0, 3.0});
+  EXPECT_EQ(flat.centered(0, 0), 0.0);
+  EXPECT_EQ(flat.mean(0), 3.0);
+  EXPECT_EQ(pearson_moments(flat.centered(0, 1), flat.centered(0, 0),
+                            flat.centered(1, 1), 3.0, flat.mean(0),
+                            flat.mean(1)),
             0.0);
 }
 
-TEST(WindowStats, RankAndAbnormalityKernelsMatchUncached) {
+TEST(Summary, SortedMedianAndMadMatchUnsorted) {
   const auto [x, y] = make_test_columns();
-  WindowStats ws;
-  ws.reset(1);
-  const ColumnMoments& mx = ws.with_ranks(1, [&] { return x; });
-  const ColumnMoments& my = ws.with_ranks(2, [&] { return y; });
-  EXPECT_EQ(pearson_centered(mx.rank_centered, mx.rank_sxx, mx.rank_mean,
-                             my.rank_centered, my.rank_sxx, my.rank_mean),
-            spearman(x, y));
-  const ColumnMoments& ax = ws.with_abnormality(1, [&] { return x; });
-  const ColumnMoments& ay = ws.with_abnormality(2, [&] { return y; });
-  EXPECT_EQ(pearson_centered(ax.abn_centered, ax.abn_sxx, ax.abn_mean,
-                             ay.abn_centered, ay.abn_sxx, ay.abn_mean),
-            abnormality_correlation(x, y));
-}
-
-TEST(WindowStats, GenerationResetInvalidatesOnWindowShift) {
-  WindowStats ws;
-  ws.reset(/*fingerprint=*/10);
-  std::size_t loads = 0;
-  const auto loader = [&] {
-    ++loads;
-    return std::vector<double>{1.0, 2.0, 3.0};
-  };
-  (void)ws.get_or_build(7, loader);
-  (void)ws.get_or_build(7, loader);
-  EXPECT_EQ(loads, 1u);  // second lookup hits
-  EXPECT_EQ(ws.misses(), 1u);
-  EXPECT_EQ(ws.hits(), 1u);
-
-  ws.reset(10);  // same generation: cache survives
-  (void)ws.get_or_build(7, loader);
-  EXPECT_EQ(loads, 1u);
-
-  ws.reset(11);  // window shifted (or data version bumped): cache dropped
-  (void)ws.get_or_build(7, loader);
-  EXPECT_EQ(loads, 2u);
-  EXPECT_EQ(ws.fingerprint(), 11u);
+  for (std::size_t n : {1u, 2u, 5u, 6u, 63u, 64u}) {
+    const std::vector<double> xs(x.begin(), x.begin() + n);
+    const std::vector<double> sorted = sorted_copy(xs);
+    EXPECT_EQ(median_sorted(sorted), median(xs)) << n;
+    EXPECT_EQ(mad_sigma_sorted(sorted, stddev(xs)), mad_sigma(xs)) << n;
+  }
+  // Heavily quantized: the MAD degenerates and both fall back to the
+  // caller's stddev.
+  const std::vector<double> q{1.0, 1.0, 1.0, 1.0, 5.0};
+  EXPECT_EQ(mad_sigma_sorted(q, stddev(q)), mad_sigma(q));
 }
 
 }  // namespace

@@ -367,6 +367,39 @@ TEST(MetricStoreStreaming, SeriesEpochsAreIndependent) {
   EXPECT_EQ(store.series_epoch(a, k), 2u);
 }
 
+TEST(MetricStoreStreaming, HistoryIdMovesOnlyWhenPastRowsMayChange) {
+  MetricStore store(TimeAxis(0.0, 60.0, 4));
+  const EntityId e(0);
+  const MetricKindId k(0);
+  store.upsert_cell(e, k, 1, 1.0);
+  const TimeSeries* s = store.find(e, k);
+  const std::uint64_t id = s->history_id();
+  EXPECT_EQ(s->append_mark(), 2u);
+  // Appends at or past the mark only advance it.
+  store.upsert_cell(e, k, 2, 2.0);
+  store.upsert_cell(e, k, 3, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(s->history_id(), id);
+  EXPECT_EQ(s->append_mark(), 4u);
+  // A rewrite below the mark, a raw-write exposure and a replacement each
+  // start a new history; ids are never reused.
+  store.upsert_cell(e, k, 0, 5.0);
+  const std::uint64_t rewritten = store.find(e, k)->history_id();
+  EXPECT_NE(rewritten, id);
+  (void)store.find_mutable(e, k);
+  const std::uint64_t exposed = store.find(e, k)->history_id();
+  EXPECT_NE(exposed, rewritten);
+  store.put(e, k, {1.0, 2.0, 3.0, 4.0});
+  const std::uint64_t replaced = store.find(e, k)->history_id();
+  EXPECT_NE(replaced, exposed);
+  EXPECT_NE(replaced, id);
+  EXPECT_EQ(store.find(e, k)->append_mark(), 4u);
+  // Axis growth reads as missing past the old end: no history moves.
+  store.extend_axis(2);
+  EXPECT_EQ(store.find(e, k)->history_id(), replaced);
+  store.upsert_cell(e, k, 5, 6.0);
+  EXPECT_EQ(store.find(e, k)->history_id(), replaced);
+}
+
 TEST(MetricStoreStreaming, UpsertCellCreatesAllMissingSeries) {
   MetricStore store(TimeAxis(0.0, 60.0, 4));
   const EntityId e(0);
