@@ -15,8 +15,8 @@
 //
 // The trained conditionals are bitwise identical in all three modes (the
 // concurrency/cache tests assert this); only the work changes. Target:
-// shared >= 5x over cold. A streaming-churn pass then writes ~1% of the
-// series and checks that the epoch keys retain >= 80% of the factors. A
+// shared >= 5x over cold. A streaming-churn pass then rewrites one cell of
+// ~1% of the series and checks that >= 80% of the factors are not refit. A
 // growing-window pass last trains the symptoms' graphs at windows E, E+1,
 // ..., E+32 through one TrainingCaches — each step extends the moment
 // blocks by one row — and compares every factor with a cold training of
@@ -110,7 +110,7 @@ int main() {
   bench::print_header(
       "Factor-training microbench: cross-symptom factor reuse",
       "engineering experiment (no paper figure) — batch training cost with "
-      "the factor cache and moment store off vs shared");
+      "the moment store off vs shared");
 
   enterprise::IncidentDatasetOptions opts;
   if (!bench::full_scale()) {
@@ -165,8 +165,8 @@ int main() {
     shared_ms =
         std::min(shared_ms, train_all(db, symptoms, train_begin, train_end,
                                       &caches, nullptr, &shared));
-    // Deterministic counts of the first shared pass: misses = unique
-    // factors, hits = cross-symptom reuse.
+    // Deterministic counts of the first shared pass: misses = fits of
+    // distinct target problems, hits = cross-symptom memo reuse.
     shared_hits = shared.counter("cache.factor_hits")->value();
     shared_misses = shared.counter("cache.factor_misses")->value();
     warm_ms = std::min(warm_ms, train_all(db, symptoms, train_begin,
@@ -180,7 +180,7 @@ int main() {
               cold_ms / shared_ms);
   std::printf("warm   (repeat pass)    : %9.1f ms   %.1fx\n", warm_ms,
               cold_ms / warm_ms);
-  std::printf("shared pass factor cache: %llu hits, %llu misses\n",
+  std::printf("shared pass factor memo  : %llu hits, %llu misses\n",
               static_cast<unsigned long long>(shared_hits),
               static_cast<unsigned long long>(shared_misses));
   std::printf("\ntarget: shared >= 5x cold\n");
@@ -195,9 +195,9 @@ int main() {
   m.gauge("bench.shared_misses")->set(static_cast<double>(shared_misses));
 
   // --- streaming churn ------------------------------------------------------
-  // The long-running service's case for epoch keys: after ~1% of series
-  // receive a streamed value, only the factors whose neighborhood read a
-  // touched series retrain (a data_version() fingerprint would retrain
+  // The long-running service's case for per-series history ids: after ~1%
+  // of series receive a rewritten value, only the factors whose block reads
+  // a touched series retrain (a data_version() fingerprint would retrain
   // every one).
   std::printf("\nstreaming churn (~1%% of series written between passes):\n");
   double epoch_rate = 0.0;
@@ -235,8 +235,8 @@ int main() {
 
   // --- growing window --------------------------------------------------------
   // The service's case for the moment store: every REPLAY tick grows the
-  // window by one row, so every factor key misses, and only the new row
-  // should cost anything. One graph per distinct symptom entity.
+  // window by one row, so every memo misses, and only the new row should
+  // cost anything. One graph per distinct symptom entity.
   constexpr TimeIndex kSteps = 32;
   const TimeIndex grow_begin = train_end > kSteps ? train_end - kSteps : 0;
   std::vector<EntityId> grow_entities;
@@ -297,7 +297,7 @@ int main() {
 
   bench::write_bench_json("factor_training");
   if (epoch_rate < 0.8) {
-    std::fprintf(stderr, "FAIL: epoch retention %.3f < 0.8\n", epoch_rate);
+    std::fprintf(stderr, "FAIL: churn retention %.3f < 0.8\n", epoch_rate);
     return 1;
   }
   if (mismatches > 0) {

@@ -281,7 +281,7 @@ int main() {
   std::atomic<bool> done{false};
   std::thread ingester([&] {
     // One slice every few ms until the feed is dry; maintain() bounds the
-    // epoch-keyed caches under the exclusive lock.
+    // training cache under the exclusive lock.
     std::size_t next = 0;
     while (!done.load() && next < feed.batches.size()) {
       service::replay_slice(stream, feed, next++);

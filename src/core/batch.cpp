@@ -72,9 +72,9 @@ BatchResult BatchDiagnoser::diagnose_symptoms(
       result.symptoms.size() > 1)
     inner.num_threads = 1;
 
-  // Cross-symptom training caches. No diagnosis of this diagnoser is in
-  // flight here, so no cache reference is live and pruning is safe.
-  caches_.prune(TrainingCaches::kDefaultMaxEntries);
+  // Cross-symptom training cache. No diagnosis of this diagnoser is in
+  // flight here, so no slot is in use and pruning is safe.
+  caches_.prune(TrainingCaches::kMaxBlocks);
   caches_.attach(db, inner.training);
   parallel_for(
       opts_.murphy.num_threads, result.symptoms.size(), [&](std::size_t i) {

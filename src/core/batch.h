@@ -10,9 +10,10 @@
 // Training reuse: a BatchDiagnoser owns one TrainingCaches (factor_cache.h)
 // that persists across calls. Symptoms of one incident share most of their
 // graph neighborhoods, so each shared factor trains once per batch instead
-// of once per symptom, and a repeat call retrains only the factors whose
-// series were written in between. Purely a work-saving measure: results are
-// bitwise identical to cache-free per-symptom diagnoses.
+// of once per symptom (the moment-store slot's memo), and a repeat call
+// retrains only the factors whose series were rewritten in between. Purely
+// a work-saving measure: results are bitwise identical to cache-free
+// per-symptom diagnoses.
 #pragma once
 
 #include <span>
@@ -69,8 +70,8 @@ class BatchDiagnoser {
 
  private:
   BatchOptions opts_;
-  // Persistent across calls; pruned to TrainingCaches::kDefaultMaxEntries
-  // at the top of each call.
+  // Persistent across calls; pruned to TrainingCaches::kMaxBlocks at the
+  // top of each call.
   TrainingCaches caches_;
 };
 

@@ -16,42 +16,6 @@ std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
   return z ^ (z >> 31);
 }
 
-void FactorCache::reset(std::uint64_t fingerprint) {
-  std::unique_lock lock(mu_);
-  if (fingerprint == fingerprint_ && !entries_.empty()) return;
-  entries_.clear();
-  fingerprint_ = fingerprint;
-}
-
-const CachedFactor& FactorCache::get_or_train(std::uint64_t key,
-                                              const Trainer& trainer,
-                                              bool* trained) {
-  Entry* entry = nullptr;
-  {
-    std::shared_lock lock(mu_);
-    if (const auto it = entries_.find(key); it != entries_.end())
-      entry = it->second.get();
-  }
-  if (entry == nullptr) {
-    std::unique_lock lock(mu_);
-    auto& slot = entries_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  bool built = false;
-  std::call_once(entry->once, [&] {
-    entry->factor = trainer();
-    built = true;
-  });
-  if (trained != nullptr) *trained = built;
-  return entry->factor;
-}
-
-void FactorCache::prune(std::size_t max_entries) {
-  std::unique_lock lock(mu_);
-  if (entries_.size() > max_entries) entries_.clear();
-}
-
 void MomentBlock::extend(std::span<const telemetry::TimeSeries* const> series,
                          TimeIndex to) {
   const TimeIndex from = end();
@@ -122,15 +86,12 @@ void TrainingCaches::attach(const telemetry::MonitoringDb& db,
   fp = hash_mix(fp, opts.top_b);
   fp = hash_mix(fp, std::bit_cast<std::uint64_t>(opts.l2));
   fp = hash_mix(fp, std::bit_cast<std::uint64_t>(opts.recency_half_life));
-  factor_cache_.reset(fp);
   moment_store_.reset(fp);
-  opts.factor_cache = &factor_cache_;
   opts.moment_store = &moment_store_;
 }
 
-void TrainingCaches::prune(std::size_t max_entries) {
-  factor_cache_.prune(max_entries);
-  moment_store_.prune(MomentStore::kMaxBlocks);
+void TrainingCaches::prune(std::size_t max_blocks) {
+  moment_store_.prune(max_blocks);
 }
 
 }  // namespace murphy::core

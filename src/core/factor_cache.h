@@ -1,55 +1,52 @@
-// Training caches and their one invalidation regime.
+// The training cache and its one invalidation regime.
 //
-// Two layers sit under every FactorSet training, both owned by
-// TrainingCaches:
+// MomentStore keeps one Slot per target problem, and every FactorSet that
+// has a store trains through it. A slot holds the target's MomentBlock:
+// the row-sequential sufficient statistics (stats::CrossMoments) of the
+// target and all its candidates, plus the target's window values in sorted
+// order. It is keyed by the column set, train_begin, the recency decay and
+// the history id of every column's series (telemetry::MetricStore).
+// Selection, the historical moments, the robust center/scale and the ridge
+// fit all derive from the block, so a DIAGNOSE whose window grew by a few
+// appended rows folds only those rows instead of refitting the whole
+// history. A block persists only rows below the minimum append mark of its
+// series (rows past it may still be written without moving the history
+// id); the rest of the window is folded into a per-request copy. A request
+// whose window ends before the block's rows trains from a transient block
+// built cold. Cold and extended blocks run the same row-sequential
+// accumulation from zero, so their factors are bitwise identical by
+// construction.
 //
-// FactorCache — the exact-repeat layer. A batch diagnosis trains one
-// FactorSet per symptom, and the symptoms of one incident overwhelmingly
-// share their relationship-graph neighborhoods: the same (entity, metric)
-// conditional, fit on the same window against the same in-neighbor
-// candidate set, recurs once per symptom (and, in the diagnosis service,
-// once per request). FactorCache trains each such factor once and shares
-// the fitted model. Sharing is bitwise safe: a ridge factor is a pure
-// function of (target history, candidate feature histories, training
-// options), none of which depend on the graph's node numbering; selection
-// ties break on (entity, kind), not VarIndex. The key is (entity, kind,
-// sorted in-neighbor entity set, train window) plus one digest per entity
-// of the (kind, write epoch) of each of its series, for the target's entity
-// and each in-neighbor — so a write to any series the fit may read, or a
-// freshly appearing series, changes the key and everything else keeps
-// hitting.
-//
-// MomentStore — the incremental layer behind a FactorCache miss. It keeps
-// one MomentBlock per target problem: the row-sequential sufficient
-// statistics (stats::CrossMoments) of the target and all its candidates,
-// plus the target's window values in sorted order, keyed by the column set,
-// train_begin and the history id of every column's series
-// (telemetry::MetricStore). Selection, the historical moments, the robust
-// center/scale and the ridge fit all derive from the block, so a DIAGNOSE
-// whose window grew by a few appended rows folds only those rows instead of
-// refitting the whole history. A block persists only rows below the
-// minimum append mark of its series (rows past it may still be written
-// without moving the history id); the rest of the window is folded into a
-// per-request copy. A request whose window ends before the block's rows, or
-// starts elsewhere, trains from a transient block built cold. Cold and
-// extended blocks run the same row-sequential accumulation from zero, so
-// their factors are bitwise identical by construction.
+// The block determines its factor bit for bit, so the slot also memoizes
+// the last factor it fit, tagged with the window end and a second digest
+// of the key's inputs plus each column's append mark within the window:
+// rows below a mark are fixed by the history id and rows past it were
+// never written, so the tag fixes every value the fit read, per-request
+// rows included. A FactorSet whose target problem another symptom or
+// request already fit at the same window copies the memo (counter
+// `cache.factor_hits`) instead of fitting (`cache.factor_misses`); a hit
+// reads no block data. A fit from a transient block (a window older than
+// the block) stores no memo. Sharing is bitwise safe: the factor is a pure
+// function of the block's columns and rows and the fit options, none of
+// which depend on the graph's node numbering; selection ties break on
+// (entity, kind), not VarIndex.
 //
 // Validity (TrainingCaches): one generation fingerprint over
 // MonitoringDb::uid() — a process-unique id, immune to the address
 // recycling that made an &db fingerprint an ABA hazard — plus
 // structural_data_version() and the fit-shaping options (top_b, l2,
-// recency_half_life). Value writes do not move it: they change the epoch
-// keys (and, below an append mark, the history ids) of exactly the entries
-// that read the touched series. Structural changes (entities, associations,
-// axis swap, erasure) and a different db reset both layers. Each layer has
-// its own size bound. Factor entries build exactly once across threads
-// (shared-mutex map + per-entry once_flag); each block has its own mutex,
-// so workers extend blocks concurrently under the service's shared lock.
+// recency_half_life). Value writes do not move it: a write below a series'
+// append mark moves its history id, which retires exactly the slots that
+// read it; a write at or past the mark moves only the mark, which retires
+// the memos of fits that read rows past it.
+// Structural changes (entities, associations, axis swap, erasure) and a
+// different db reset the store. Each slot has its own mutex, held across
+// its first fit, so a factor is fit once across threads while workers
+// extend different blocks concurrently under the service's shared lock.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -71,10 +68,11 @@ namespace murphy::core {
 
 struct FactorTrainingOptions;  // factor_model.h
 
-// One trained factor in graph-independent form: features are (entity, kind)
-// refs, not VarIndex, so any graph containing the entities can rebind it.
+// One trained factor in graph-independent form: features are column
+// positions in its MomentBlock ((entity, kind) order), not VarIndex, so any
+// graph that builds the same block can rebind it.
 struct CachedFactor {
-  std::vector<MetricRef> features;  // selection order
+  std::vector<std::size_t> features;  // selection order
   std::shared_ptr<const stats::RidgeRegression> model;  // null: no features
   double hist_mean = 0.0;
   double hist_sigma = 0.0;
@@ -86,36 +84,6 @@ struct CachedFactor {
 // 64-bit hash chaining for cache keys/fingerprints (splitmix64 finalizer —
 // not cryptographic, just well-mixed).
 [[nodiscard]] std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v);
-
-class FactorCache {
- public:
-  using Trainer = std::function<CachedFactor()>;
-
-  // Drops all entries unless `fingerprint` matches the current generation.
-  void reset(std::uint64_t fingerprint);
-
-  // Returns the factor for `key`, invoking `trainer` exactly once per
-  // generation across all threads. `trained` (optional) reports whether THIS
-  // call did the training (a miss).
-  const CachedFactor& get_or_train(std::uint64_t key, const Trainer& trainer,
-                                   bool* trained = nullptr);
-
-  // Drops every entry (keeping the fingerprint) when the map holds more than
-  // `max_entries` — the size bound for epoch keys, whose stale entries are
-  // retired by key change rather than generation reset. Only safe when no
-  // CachedFactor reference from this cache is live.
-  void prune(std::size_t max_entries);
-
- private:
-  struct Entry {
-    std::once_flag once;
-    CachedFactor factor;
-  };
-
-  mutable std::shared_mutex mu_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Entry>> entries_;
-  std::uint64_t fingerprint_ = 0;
-};
 
 // One target's training problem in sufficient-statistic form (see the
 // file comment): column 0 is the target, the rest its candidate features in
@@ -139,12 +107,17 @@ struct MomentBlock {
 
 class MomentStore {
  public:
-  // The store's own size bound (blocks), independent of FactorCache's.
-  static constexpr std::size_t kMaxBlocks = 16384;
-
   struct Slot {
-    std::mutex mu;  // guards `block`
+    std::mutex mu;  // guards `block` and `memo`
     MomentBlock block;
+    // The factor fit at window end `memo.end`, tagged with a second digest
+    // of the block's columns, history ids and append marks (see above), so
+    // a hit need not read the block.
+    struct {
+      TimeIndex end = std::numeric_limits<TimeIndex>::max();  // none yet
+      std::uint64_t tag = 0;
+      CachedFactor factor;
+    } memo;
   };
 
   // Drops all blocks unless `fingerprint` matches the current generation.
@@ -162,27 +135,25 @@ class MomentStore {
   std::uint64_t fingerprint_ = 0;
 };
 
-// The factor cache and the moment store under one generation fingerprint
-// (see the file comment). BatchDiagnoser and DiagnosisService both train
-// through one of these.
+// The moment store under its generation fingerprint (see the file
+// comment). BatchDiagnoser and DiagnosisService both train through one of
+// these.
 class TrainingCaches {
  public:
-  // The factor-cache size bound both callers prune to
-  // (DiagnosisServiceOptions' default, BatchDiagnoser's fixed bound).
-  static constexpr std::size_t kDefaultMaxEntries = 8192;
+  // The size bound (slots) both callers prune to (DiagnosisServiceOptions'
+  // default, BatchDiagnoser's fixed bound).
+  static constexpr std::size_t kMaxBlocks = 16384;
 
-  // Resets both layers unless (db identity, db structure, `opts`' fit-
-  // shaping fields) matches the current generation, then points `opts` at
-  // them. The db must not change until the training that uses `opts` ends.
+  // Resets the store unless (db identity, db structure, `opts`' fit-shaping
+  // fields) matches the current generation, then points `opts` at it. The
+  // db must not change until the training that uses `opts` ends.
   void attach(const telemetry::MonitoringDb& db, FactorTrainingOptions& opts);
 
-  // Drops the factor cache's entries when it holds more than
-  // `max_entries`, and the moment store's past MomentStore::kMaxBlocks.
-  // Only safe when no reference obtained from the caches is live.
-  void prune(std::size_t max_entries);
+  // Drops every slot when the store holds more than `max_blocks`. Only
+  // safe when no slot is in use.
+  void prune(std::size_t max_blocks);
 
  private:
-  FactorCache factor_cache_;
   MomentStore moment_store_;
 };
 

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "src/common/thread_pool.h"
 #include "src/stats/correlation.h"
@@ -97,7 +98,7 @@ CachedFactor fit_block(const MomentBlock& blk,
         exact);
     cf.model = std::move(model);
     cf.features.reserve(scored.size());
-    for (const auto& [r, c] : scored) cf.features.push_back(blk.cols[c]);
+    for (const auto& [r, c] : scored) cf.features.push_back(c);
   }
   cf.robust_center = stats::median_sorted(blk.sorted_target);
   cf.robust_sigma = stats::mad_sigma_sorted(blk.sorted_target,
@@ -123,11 +124,46 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
                            ? std::pow(0.5, 1.0 / opts.recency_half_life)
                            : 1.0;
 
-  // Each variable's series, read once: the block columns, their history ids
-  // and append marks.
-  std::vector<const telemetry::TimeSeries*> series(space.size());
-  for (VarIndex v = 0; v < space.size(); ++v)
-    series[v] = db.metrics().find(space.var(v).entity, space.var(v).kind);
+  // Each variable's block column, read once: its series, (entity, kind)
+  // ref, history id (0 = no series), append mark, a digest of (ref,
+  // history id) for slot keys, and an independent one that also covers
+  // the mark within the window for memo tags. Rows below the mark are
+  // fixed by the history id and rows past it were never written, so
+  // (history id, mark) fixes every value the window reads.
+  struct Column {
+    const telemetry::TimeSeries* series;
+    MetricRef ref;
+    std::uint64_t history;
+    TimeIndex mark;
+    std::uint64_t digest;
+    std::uint64_t tag;
+  };
+  std::vector<Column> column(space.size());
+  for (VarIndex v = 0; v < space.size(); ++v) {
+    Column& c = column[v];
+    c.ref = MetricRef{space.var(v).entity, space.var(v).kind};
+    c.series = db.metrics().find(c.ref.entity, c.ref.kind);
+    c.history = c.series == nullptr ? 0 : c.series->history_id();
+    c.mark = c.series == nullptr ? 0 : c.series->append_mark();
+    const std::uint64_t packed =
+        (static_cast<std::uint64_t>(c.ref.entity.value()) << 32) |
+        c.ref.kind.value();
+    c.digest = hash_mix(packed, c.history);
+    c.tag = hash_mix(hash_mix(c.history ^ 0x7A65C0DEu, packed),
+                     std::min(c.mark, train_end));
+  }
+
+  // Every variable in (entity, kind) order. A node's variables are one run
+  // of it, so a target's block columns are the runs of its nodes taken in
+  // entity order.
+  std::vector<VarIndex> by_ref(space.size());
+  std::iota(by_ref.begin(), by_ref.end(), VarIndex{0});
+  std::sort(by_ref.begin(), by_ref.end(), [&](VarIndex a, VarIndex b) {
+    return column[a].ref < column[b].ref;
+  });
+  std::vector<std::size_t> run_begin(graph.node_count());
+  for (std::size_t i = by_ref.size(); i-- > 0;)
+    run_begin[space.var(by_ref[i]).node] = i;
 
   // Observability: resolve instruments once, outside the hot loop (the
   // registry lookup takes a mutex; the updates below are lock-free atomics).
@@ -144,6 +180,10 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     h_features = opts.metrics->histogram(
         "train.features_per_factor",
         {0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0});
+    if (opts.moment_store != nullptr) {
+      c_cache_hits = opts.metrics->counter("cache.factor_hits");
+      c_cache_misses = opts.metrics->counter("cache.factor_misses");
+    }
   }
 #ifndef MURPHY_OBS_DISABLED
   static obs::Counter* const c_block_hits =
@@ -151,12 +191,19 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   static obs::Counter* const c_block_misses =
       obs::global_metrics().counter("cache.window_misses");
 #endif
+  // Fits through a store run untraced: WHICH FactorSet pays the fit of a
+  // shared slot is scheduling-dependent, and per-fit spans would make
+  // traces vary run to run. The slot mutex serializes the first fit, so
+  // over trainings at one window the totals stay deterministic (misses =
+  // distinct target problems, hits = the rest).
+  obs::Tracer* const tracer =
+      opts.moment_store != nullptr ? nullptr : opts.tracer;
 
-  // Trains the factor of one target variable from its moment block, in
-  // graph-independent (CachedFactor) form. Pure: everything it returns is a
-  // function of the candidate histories and options alone, which is what
-  // makes the result shareable across symptoms (see FactorCache).
-  auto train_target = [&](VarIndex target, obs::Tracer* tracer) {
+  // One factor per variable, all independent: parallelize over targets.
+  // Each factor is a pure function of its histories and the options, so
+  // the trained set is bitwise identical at any thread count.
+  parallel_for(opts.num_threads, space.size(), [&](std::size_t t) {
+    const VarIndex target = t;
     obs::Span fit_span(tracer, "fit_factor", target, opts.trace_parent);
     const auto& tvar = space.var(target);
 
@@ -164,176 +211,135 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     // of in-neighbor nodes (the in_nbrs(v) of the factor definition), plus
     // the entity's OTHER own metrics, which the paper's P_v(v | ...) treats
     // jointly — in (entity, kind) order.
+    const auto in_nbrs = graph.in_neighbors(tvar.node);
+    std::vector<graph::NodeIndex> nodes(in_nbrs.begin(), in_nbrs.end());
+    nodes.push_back(tvar.node);
+    std::sort(nodes.begin(), nodes.end(),
+              [&](graph::NodeIndex a, graph::NodeIndex b) {
+                return graph.entity_of(a) < graph.entity_of(b);
+              });
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
     std::vector<VarIndex> cols{target};
-    for (const graph::NodeIndex nb : graph.in_neighbors(tvar.node))
-      for (const VarIndex f : space.vars_of(nb)) cols.push_back(f);
-    for (const VarIndex f : space.vars_of(tvar.node))
-      if (f != target) cols.push_back(f);
-    const auto ref_of = [&](VarIndex v) {
-      return MetricRef{space.var(v).entity, space.var(v).kind};
-    };
-    std::sort(cols.begin() + 1, cols.end(),
-              [&](VarIndex a, VarIndex b) { return ref_of(a) < ref_of(b); });
-    cols.erase(std::unique(cols.begin() + 1, cols.end()), cols.end());
-    const std::size_t d = cols.size();
-
-    std::vector<const telemetry::TimeSeries*> cs(d);
-    std::vector<MetricRef> refs(d);
-    std::vector<std::uint64_t> ids(d);
-    TimeIndex min_mark = train_end;
-    for (std::size_t c = 0; c < d; ++c) {
-      cs[c] = series[cols[c]];
-      refs[c] = ref_of(cols[c]);
-      ids[c] = cs[c] == nullptr ? 0 : cs[c]->history_id();
-      min_mark = std::min(min_mark,
-                          cs[c] == nullptr ? TimeIndex{0}
-                                           : cs[c]->append_mark());
+    for (const graph::NodeIndex n : nodes) {
+      const std::size_t end = run_begin[n] + space.vars_of(n).size();
+      for (std::size_t i = run_begin[n]; i < end; ++i)
+        if (by_ref[i] != target) cols.push_back(by_ref[i]);
     }
+    const std::size_t d = cols.size();
+    TimeIndex min_mark = train_end;
+    for (const VarIndex v : cols)
+      min_mark = std::min(min_mark, column[v].mark);
+
+    // The block's series, read only when rows are folded or fit.
+    std::vector<const telemetry::TimeSeries*> cs;
+    const auto series = [&] {
+      if (cs.empty())
+        for (const VarIndex v : cols) cs.push_back(column[v].series);
+      return std::span<const telemetry::TimeSeries* const>(cs);
+    };
     const auto init = [&](MomentBlock& b) {
       b.begin = train_begin;
-      b.cols = refs;
-      b.history = ids;
+      for (const VarIndex v : cols) {
+        b.cols.push_back(column[v].ref);
+        b.history.push_back(column[v].history);
+      }
       b.plain = stats::CrossMoments(d, 1.0);
       if (decay != 1.0) b.decayed = stats::CrossMoments(d, decay);
     };
-
-    // The block: the store's, extended by the rows below every column's
-    // append mark, or a transient one. Rows the store may not keep are
-    // folded into a per-request copy; cold builds fold every row from zero.
-    MomentBlock transient;
-    const MomentBlock* blk = &transient;
-    std::unique_lock<std::mutex> held;
-    bool reused = false;
-    if (opts.moment_store != nullptr) {
-      std::uint64_t key = hash_mix(0xB10C4B11u, train_begin);
-      key = hash_mix(key, std::bit_cast<std::uint64_t>(decay));
-      for (std::size_t c = 0; c < d; ++c) {
-        key = hash_mix(key, (static_cast<std::uint64_t>(
-                                 refs[c].entity.value()) << 32) |
-                                refs[c].kind.value());
-        key = hash_mix(key, ids[c]);
+    // Guards against a slot-key collision: the block is this problem's.
+    const auto owns = [&](const MomentBlock& b) {
+      if (b.begin != train_begin || b.cols.size() != d) return false;
+      for (std::size_t c = 0; c < d; ++c)
+        if (!(b.cols[c] == column[cols[c]].ref) ||
+            b.history[c] != column[cols[c]].history)
+          return false;
+      return true;
+    };
+    // `reused`: the block already held rows before this request.
+    const auto fit = [&](const MomentBlock& blk, bool reused) {
+#ifndef MURPHY_OBS_DISABLED
+      (reused ? c_block_hits : c_block_misses)->add(1);
+#else
+      (void)reused;
+#endif
+      if (c_cache_misses != nullptr) c_cache_misses->add(1);
+      if (c_corr_cells != nullptr) c_corr_cells->add(d - 1);
+      if (c_fits != nullptr) c_fits->add(1);
+      CachedFactor cf =
+          fit_block(blk, series(), train_begin, train_end, opts);
+      if (fit_span.enabled()) {
+        fit_span.arg("features",
+                     static_cast<std::uint64_t>(cf.features.size()));
+        fit_span.arg("rows", static_cast<std::uint64_t>(blk.rows()));
       }
-      MomentStore::Slot& slot = opts.moment_store->slot(key);
-      held = std::unique_lock<std::mutex>(slot.mu);
-      MomentBlock& b = slot.block;
-      if (b.cols.empty()) init(b);
-      if (b.cols == refs && b.history == ids && b.begin == train_begin &&
-          b.end() <= train_end) {
-        reused = b.rows() > 0;
-        b.extend(cs, std::clamp(min_mark, train_begin, train_end));
-        if (b.end() == train_end) {
-          blk = &b;  // derived under the block's lock
+      return cf;
+    };
+
+    // The factor: the slot's memo when it was fit at train_end over the
+    // same marks, else a fit of the block extended by the rows below every
+    // column's append mark, plus a per-request copy for the rows the store
+    // may not keep; that fit becomes the memo. A window that ends before
+    // the block's rows gets a transient block built cold, whose fit is not
+    // stored.
+    const CachedFactor cf = [&] {
+      MomentBlock transient;
+      bool reused = false;
+      if (opts.moment_store != nullptr) {
+        const std::uint64_t decay_bits = std::bit_cast<std::uint64_t>(decay);
+        std::uint64_t key =
+            hash_mix(hash_mix(0xB10C4B11u, train_begin), decay_bits);
+        std::uint64_t tag =
+            hash_mix(hash_mix(0x7A65C0DEu, decay_bits), train_begin);
+        for (const VarIndex v : cols) {
+          key = hash_mix(key, column[v].digest);
+          tag = hash_mix(tag, column[v].tag);
+        }
+        MomentStore::Slot& slot = opts.moment_store->slot(key);
+        std::unique_lock<std::mutex> held(slot.mu);
+        // The tag stands in for the block's column lists, which a hit
+        // would otherwise read, and for the rows past any append mark.
+        if (slot.memo.end == train_end && slot.memo.tag == tag) {
+          if (c_cache_hits != nullptr) c_cache_hits->add(1);
+          return slot.memo.factor;
+        }
+        MomentBlock& b = slot.block;
+        if (b.cols.empty()) init(b);
+        if (owns(b) && b.end() <= train_end) {
+          reused = b.rows() > 0;
+          b.extend(series(), std::clamp(min_mark, train_begin, train_end));
+          const MomentBlock* blk = &b;
+          if (b.end() < train_end) {
+            transient = b;
+            transient.extend(series(), train_end);
+            blk = &transient;
+          }
+          slot.memo.factor = fit(*blk, reused);
+          slot.memo.end = train_end;
+          slot.memo.tag = tag;
+          return slot.memo.factor;
         } else {
-          transient = b;
-          held.unlock();
+          init(transient);
         }
       } else {
-        held.unlock();  // the window ends before the block's rows
         init(transient);
       }
-    } else {
-      init(transient);
-    }
-    if (blk == &transient) transient.extend(cs, train_end);
-#ifndef MURPHY_OBS_DISABLED
-    (reused ? c_block_hits : c_block_misses)->add(1);
-#else
-    (void)reused;
-#endif
+      transient.extend(series(), train_end);
+      return fit(transient, reused);
+    }();
 
-    CachedFactor cf = fit_block(*blk, cs, train_begin, train_end, opts);
-    if (c_corr_cells != nullptr) c_corr_cells->add(d - 1);
-    if (c_fits != nullptr) c_fits->add(1);
-    if (fit_span.enabled()) {
-      fit_span.arg("features",
-                   static_cast<std::uint64_t>(cf.features.size()));
-      fit_span.arg("rows", static_cast<std::uint64_t>(blk->rows()));
-    }
-    return cf;
-  };
-
-  // Rebinds a (possibly cache-shared) factor to this graph's VarIndex space.
-  auto bind_factor = [&](VarIndex target, const CachedFactor& cf) {
+    // Bind the factor to this graph's VarIndex space: its features are
+    // positions in `cols`.
     std::vector<VarIndex> features;
     features.reserve(cf.features.size());
-    for (const MetricRef& m : cf.features) {
-      const auto f = space.find(m.entity, m.kind);
-      assert(f.has_value());  // cache key fixes the candidate entity set
-      features.push_back(*f);
-    }
+    for (const std::size_t c : cf.features) features.push_back(cols[c]);
     auto cond = std::make_unique<MetricConditional>(
         target, std::move(features), cf.model, cf.hist_mean, cf.hist_sigma);
     cond->set_robust(cf.robust_center, cf.robust_sigma);
-
     if (c_pruned != nullptr && cf.considered > cf.features.size())
       c_pruned->add(cf.considered - cf.features.size());
     if (h_features != nullptr)
       h_features->observe(static_cast<double>(cf.features.size()));
     conditionals_[target] = std::move(cond);
-  };
-
-  // Factor-cache keys: one (kind, epoch) digest per graph node, computed
-  // once here instead of once per target that reads the node.
-  std::vector<std::uint64_t> node_digest;
-  if (opts.factor_cache != nullptr) {
-    if (opts.metrics != nullptr) {
-      c_cache_hits = opts.metrics->counter("cache.factor_hits");
-      c_cache_misses = opts.metrics->counter("cache.factor_misses");
-    }
-    node_digest.resize(graph.node_count());
-    for (graph::NodeIndex nd = 0; nd < graph.node_count(); ++nd) {
-      const EntityId e = graph.entity_of(nd);
-      std::uint64_t h = hash_mix(0xD16E57u, e.value());
-      for (const VarIndex v : space.vars_of(nd)) {
-        const MetricKindId k = space.var(v).kind;
-        h = hash_mix(h, k.value());
-        h = hash_mix(h, db.metrics().series_epoch(e, k));
-      }
-      node_digest[nd] = h;
-    }
-  }
-  const std::uint64_t window_key =
-      (static_cast<std::uint64_t>(train_begin) << 32) | train_end;
-
-  // One fit per variable, all independent: parallelize over targets. Each
-  // fit is a pure function of its histories and the options, so the
-  // trained set is bitwise identical at any thread count.
-  parallel_for(opts.num_threads, space.size(), [&](std::size_t t) {
-    const VarIndex target = t;
-    if (opts.factor_cache != nullptr) {
-      const auto& tvar = space.var(target);
-      std::uint64_t key = hash_mix(0x0FAC70C5u, tvar.entity.value());
-      key = hash_mix(key, tvar.kind.value());
-      key = hash_mix(key, node_digest[tvar.node]);
-      // Sorted in-neighbor entity set, each with its series digest: equal
-      // keys => identical candidate feature set over identical histories
-      // => identical selection and fit (see FactorCache).
-      std::vector<std::pair<std::uint32_t, graph::NodeIndex>> nbrs;
-      for (const graph::NodeIndex nb : graph.in_neighbors(tvar.node))
-        nbrs.emplace_back(graph.entity_of(nb).value(), nb);
-      std::sort(nbrs.begin(), nbrs.end());
-      for (const auto& [e, nb] : nbrs) {
-        key = hash_mix(key, e);
-        key = hash_mix(key, node_digest[nb]);
-      }
-      key = hash_mix(key, window_key);  // not in the generation fingerprint
-
-      bool trained = false;
-      // The cached trainer runs with tracing off: WHICH symptom pays the
-      // miss is scheduling-dependent, and per-fit spans would make traces
-      // vary run to run. Counter totals stay deterministic (misses = unique
-      // keys, hits = lookups - misses).
-      const CachedFactor& cf = opts.factor_cache->get_or_train(
-          key, [&] { return train_target(target, nullptr); }, &trained);
-      if (trained) {
-        if (c_cache_misses != nullptr) c_cache_misses->add(1);
-      } else if (c_cache_hits != nullptr) {
-        c_cache_hits->add(1);
-      }
-      bind_factor(target, cf);
-      return;
-    }
-    bind_factor(target, train_target(target, opts.tracer));
   });
 
   build_kernel();

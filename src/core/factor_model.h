@@ -8,10 +8,12 @@
 // predictor. Every one of those quantities is read from one MomentBlock per
 // target — the shifted cross-product moments of the target and all its
 // candidates over the window (factor_cache.h) — so training is a
-// row-sequential fold followed by a k x k solve, and a window that grew by a
-// few rows extends the stored block instead of refitting the history. Ridge is the only factor family: Fig. 8a, which compares it
-// against GMM, SVM and small neural nets on the same selected features,
-// fits those families itself (bench/bench_fig8a_models.cpp).
+// row-sequential fold followed by a k x k solve, a window that grew by a
+// few rows extends the stored block instead of refitting the history, and
+// a block already fit at the window hands back its memoized factor. Ridge
+// is the only factor family: Fig. 8a, which compares it against GMM, SVM
+// and small neural nets on the same selected features, fits those families
+// itself (bench/bench_fig8a_models.cpp).
 #pragma once
 
 #include <cstdint>
@@ -30,8 +32,9 @@ namespace murphy::core {
 // The learned conditional for ONE variable (one metric of one entity).
 class MetricConditional {
  public:
-  // The model is shared-const: the cross-symptom FactorCache hands the same
-  // fitted regression to every FactorSet that hits the cache entry.
+  // The model is shared-const: a moment-store slot's memo hands the same
+  // fitted regression to every FactorSet that trains the slot's target
+  // problem at the memo's window.
   MetricConditional(VarIndex target, std::vector<VarIndex> features,
                     std::shared_ptr<const stats::RidgeRegression> model,
                     double hist_mean, double hist_sigma);
@@ -111,13 +114,12 @@ struct FactorTrainingOptions {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   std::uint64_t trace_parent = 0;
-  // Optional training caches (null = train everything cold), attached by
-  // TrainingCaches::attach, which owns their invalidation (see
-  // factor_cache.h). factor_cache: exact-repeat factor reuse across
-  // symptoms and requests. moment_store: per-target sufficient statistics
-  // that a growing window extends by its appended rows only. Both yield
-  // factors bitwise identical to a cold training.
-  FactorCache* factor_cache = nullptr;
+  // Optional training cache (null = train everything cold), attached by
+  // TrainingCaches::attach, which owns its invalidation (see
+  // factor_cache.h): per-target sufficient statistics that a growing window
+  // extends by its appended rows only, each with the last factor they
+  // produced, reused across symptoms and requests. Its factors are bitwise
+  // identical to a cold training. Fits through it are untraced.
   MomentStore* moment_store = nullptr;
 };
 

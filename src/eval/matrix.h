@@ -14,8 +14,8 @@
 // DiagnosisService — the case db is split into a warm prefix plus a
 // streamed incident tail (service::ReplayFeed), replayed through the
 // TelemetryStream, and diagnosed via the priority queue with a concurrent
-// probe request in flight. That exercises the PR 5 scheduling / epoch-keyed
-// cache machinery at hundreds-of-services scale; the kOk response is
+// probe request in flight. That exercises the service's scheduling and
+// training-cache machinery at hundreds-of-services scale; the kOk response is
 // bitwise-identical to a direct MurphyDiagnoser run by the service's
 // determinism contract (asserted by tests/concurrency_test.cpp).
 //

@@ -153,7 +153,7 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
   resp.request_id = p.id;
 
   // Hold the shared lock for the whole diagnosis: the db version — and with
-  // it every cache fingerprint input and series epoch — is frozen while any
+  // it every cache fingerprint input and history id — is frozen while any
   // worker is inside this block.
   TelemetryStream::ReadLock db_lock = stream_.read();
   const telemetry::MonitoringDb& db = *db_lock;
@@ -216,9 +216,9 @@ void DiagnosisService::stop() {
 }
 
 void DiagnosisService::maintain() {
-  // The exclusive stream lock is the proof that no diagnosis holds a
-  // moment-store slot / CachedFactor reference (workers hold the shared lock
-  // for their whole run), which is prune()'s precondition.
+  // The exclusive stream lock is the proof that no diagnosis is using a
+  // moment-store slot (workers hold the shared lock for their whole run),
+  // which is prune()'s precondition.
   TelemetryStream::WriteLock lock = stream_.write();
   caches_.prune(opts_.cache_max_entries);
 }

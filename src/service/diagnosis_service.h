@@ -15,18 +15,18 @@
 // count, queue depth or arrival order. The pieces: every diagnosis runs
 // with the same configured seed; workers hold the stream's shared lock for
 // the whole run so the db version cannot move mid-diagnosis; and the shared
-// training caches yield bitwise-identical factors by construction (see
-// FactorCache / MomentStore). Cancellation cannot break this — it only
-// abandons phases, never alters a completed one.
+// training cache yields bitwise-identical factors by construction (see
+// core::MomentStore). Cancellation cannot break this — it only abandons
+// phases, never alters a completed one.
 //
 // Cache invalidation: the shared core::TrainingCaches, the same regime
-// BatchDiagnoser uses (core/factor_cache.h). A streaming append bumps only
-// the touched series' epochs, so the generation survives and unrelated
-// entries keep hitting; structural changes (new entities/associations, axis
-// swap, erasure) reset everything. Stale epoch-keyed entries are never
-// looked up again, so maintain() bounds the maps by pruning under the
-// stream's exclusive lock — the one point where no diagnosis can hold a
-// cache reference.
+// BatchDiagnoser uses (core/factor_cache.h). A streaming append moves no
+// history id, so the generation survives and every slot keeps extending;
+// a rewrite below a series' append mark retires only the slots that read
+// it; structural changes (new entities/associations, axis swap, erasure)
+// reset everything. Retired slots are never looked up again, so maintain()
+// bounds the store by pruning under the stream's exclusive lock — the one
+// point where no diagnosis can be using a slot.
 #pragma once
 
 #include <chrono>
@@ -115,8 +115,9 @@ struct DiagnosisServiceOptions {
   std::size_t num_workers = 2;
   // Admission bound on QUEUED requests (running ones do not count).
   std::size_t max_queue = 64;
-  // maintain() prunes each training cache down whenever it exceeds this.
-  std::size_t cache_max_entries = core::TrainingCaches::kDefaultMaxEntries;
+  // maintain() prunes the training cache whenever it holds more slots than
+  // this.
+  std::size_t cache_max_entries = core::TrainingCaches::kMaxBlocks;
 };
 
 class DiagnosisService {
@@ -139,9 +140,9 @@ class DiagnosisService {
   // every future resolves.
   void stop();
 
-  // Cache size bound: prunes either training cache that exceeds
+  // Cache size bound: prunes the training cache when it exceeds
   // cache_max_entries, under the stream's exclusive lock (no diagnosis can
-  // hold a cache reference there). Call after ingest batches; murphyd does.
+  // be using a slot there). Call after ingest batches; murphyd does.
   void maintain();
 
   // Queued (not yet running) requests, for tests and the STATS verb.

@@ -6,10 +6,11 @@
 // read it. TelemetryStream owns the db and a reader/writer lock: appends
 // (cells, axis growth, structure) take the lock exclusively; diagnoses hold
 // it shared for their whole run, so they always see one consistent db
-// version. Per-series write epochs (MetricStore::series_epoch, bumped by
-// every append) are what make this cheap — the training caches key on them
-// (core::TrainingCaches), so an append retires exactly the cache entries
-// that read the touched series instead of the whole cache.
+// version. Per-series history ids and append marks (MetricStore) are what
+// make this cheap — the training cache keys on them (core::TrainingCaches),
+// so an append only extends the blocks that read the series, and a rewrite
+// below a series' append mark retires exactly those blocks instead of the
+// whole cache.
 //
 // Snapshot/restore rides here too: save_snapshot under the shared lock
 // (consistent cut, concurrent with diagnoses), restore under the exclusive

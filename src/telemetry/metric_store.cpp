@@ -215,7 +215,7 @@ const std::vector<MetricKindId>& MetricStore::kinds_of(
 
 void MetricStore::erase(EntityId entity, MetricKindId kind) {
   ++version_;
-  ++structural_version_;  // the series set changed; epoch keys can't see it
+  ++structural_version_;  // the series set changed; history ids can't see it
   series_.erase(MetricRef{entity, kind});
   epochs_.erase(MetricRef{entity, kind});
   if (auto it = kinds_.find(entity); it != kinds_.end()) {

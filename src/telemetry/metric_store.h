@@ -133,8 +133,8 @@ class MetricStore {
   //
   // Per-series write epoch: bumped every time (entity, kind) is written
   // (put / upsert_cell / find_mutable). 0 = the series has never existed;
-  // the first write makes it 1. Epoch-keyed caches mix this into their entry
-  // keys, so a write retires exactly the entries that read this series.
+  // the first write makes it 1. Snapshots record it, and the stream's
+  // commit observer reports it with every series a commit touched.
   [[nodiscard]] std::uint64_t series_epoch(EntityId entity,
                                            MetricKindId kind) const;
 

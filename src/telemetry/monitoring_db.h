@@ -101,8 +101,8 @@ class MonitoringDb {
   // the store's structural changes (axis swap, series erasure) — but NOT
   // value writes, which are tracked per series by MetricStore::series_epoch.
   // The long-running service keys its cache generation on this, so streaming
-  // appends leave the generation intact and retire only the epoch-keyed
-  // entries that read the touched series (DESIGN.md §9).
+  // appends leave the generation intact and only extend the moment blocks
+  // that read the touched series (DESIGN.md §9).
   [[nodiscard]] std::uint64_t structural_data_version() const {
     return structural_version_ + metrics_.structural_version();
   }

@@ -2,9 +2,11 @@
 // counterfactual sampling, candidate search, labeling/explanations and the
 // end-to-end diagnoser on both microservice and enterprise scenarios.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <new>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -554,7 +556,7 @@ void expect_same_causes(const std::vector<RankedRootCause>& got,
 
 TEST(FactorCache, SameStorageDbWithEqualVersionIsNotAnAbaHit) {
   // The classic ABA: db1 is diagnosed (warming the BatchDiagnoser's
-  // persistent factor cache), destroyed, and db2 is constructed at the SAME
+  // persistent training cache), destroyed, and db2 is constructed at the SAME
   // storage with the same structure — so the address matches and
   // data_version coincides — but different metric values. An address-based
   // fingerprint would serve db1's stale factors for db2; the process-unique
@@ -589,10 +591,11 @@ TEST(FactorCache, SameStorageDbWithEqualVersionIsNotAnAbaHit) {
 }
 
 TEST(FactorCache, BatchChurnRetrainsOnlyTouchedFactors) {
-  // Epoch keys on the batch path: one fresh value written into one series
-  // inside the window retires only the factors that read that series, so a
-  // second call on the same BatchDiagnoser misses fewer factors than exist —
-  // and still returns exactly what a cold diagnoser computes.
+  // History ids on the batch path: one fresh value written into one series
+  // inside the window retires only the moment blocks (and their memoized
+  // factors) that read that series, so a second call on the same
+  // BatchDiagnoser misses fewer factors than exist — and still returns
+  // exactly what a cold diagnoser computes.
   MonitoringDb db;
   const EntityId c = fill_chain_db(db, 2.0);
   const EntityId a = db.all_entities().front();
@@ -863,6 +866,143 @@ TEST(MomentStore, NonFiniteValuesDegradeToMissingFallback) {
   EXPECT_EQ(poisoned.plain.mean(0), expected.plain.mean(0));
   EXPECT_EQ(poisoned.plain.centered(0, 0), expected.plain.centered(0, 0));
   EXPECT_EQ(poisoned.sorted_target, expected.sorted_target);
+}
+
+TEST(MomentStore, MemoHitIsBitwiseCold) {
+  // A second training at the same window copies every slot's memo: the
+  // features, weights, means, scales, sigmas and robust center/sigma are
+  // the bits a cold training computes, and the model object is shared.
+  const IncidentSpace f;
+  const TimeIndex end = f.inc.incident_end;
+  MomentStore store;
+  obs::MetricsRegistry reg;
+  const obs::Counter* hits = reg.counter("cache.factor_hits");
+  const obs::Counter* misses = reg.counter("cache.factor_misses");
+  const obs::Counter* fits = reg.counter("train.factors_trained");
+  FactorTrainingOptions opts;
+  opts.moment_store = &store;
+  opts.metrics = &reg;
+  const FactorSet first(f.inc.topo.db, f.graph, f.space, 0, end, opts);
+  EXPECT_EQ(misses->value(), first.size());
+  EXPECT_EQ(hits->value(), 0u);
+  const FactorSet memo(f.inc.topo.db, f.graph, f.space, 0, end, opts);
+  EXPECT_EQ(hits->value(), memo.size());
+  EXPECT_EQ(misses->value(), first.size());
+  EXPECT_EQ(fits->value(), first.size());
+  expect_same_factors(memo, f.train(0, end, nullptr));
+  for (VarIndex v = 0; v < memo.size(); ++v)
+    EXPECT_EQ(memo.conditional(v).model(), first.conditional(v).model());
+}
+
+// Hit and miss deltas of one training, read off a registry's counters.
+struct MemoCounts {
+  obs::MetricsRegistry reg;
+  const obs::Counter* hits = reg.counter("cache.factor_hits");
+  const obs::Counter* misses = reg.counter("cache.factor_misses");
+  template <typename F>
+  std::pair<std::uint64_t, std::uint64_t> delta(F&& train) {
+    const std::uint64_t h = hits->value(), m = misses->value();
+    train();
+    return {hits->value() - h, misses->value() - m};
+  }
+};
+
+TEST(MomentStore, OlderWindowsRefitWithoutMemo) {
+  // A window that ends before the block's rows is fit from a transient
+  // block, every time, and leaves the memo of the longer window in place.
+  const IncidentSpace f;
+  const TimeIndex end = f.inc.incident_end;
+  MemoCounts counts;
+  MomentStore store;
+  FactorTrainingOptions opts;
+  opts.moment_store = &store;
+  opts.metrics = &counts.reg;
+  const auto train = [&](TimeIndex to) {
+    return FactorSet(f.inc.topo.db, f.graph, f.space, 0, to, opts);
+  };
+  const std::uint64_t n = train(end).size();
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    std::unique_ptr<FactorSet> shorter;
+    EXPECT_EQ(counts.delta([&] {
+      shorter = std::make_unique<FactorSet>(train(end - 5));
+    }),
+              std::pair(std::uint64_t{0}, n));
+    expect_same_factors(*shorter, f.train(0, end - 5, nullptr));
+  }
+  EXPECT_EQ(counts.delta([&] { (void)train(end); }),
+            std::pair(n, std::uint64_t{0}));
+}
+
+TEST(MomentStore, LaggingColumnMemoFollowsItsAppendMark) {
+  // A column that lags behind the window: the blocks that read it fold the
+  // rows past its append mark into a per-request copy. Those rows were
+  // never written, so the memo of that fit holds until the mark moves; an
+  // append at the mark refits exactly the targets that read the column.
+  auto inc = small_incident();
+  MonitoringDb& db = inc.topo.db;
+  const EntityId e = inc.symptom_entity;
+  const MetricKindId lag = db.catalog().intern("lagging_metric");
+  const TimeIndex end = inc.incident_end;
+  for (TimeIndex t = 0; t + 8 < end; ++t)
+    db.metrics().upsert_cell(e, lag, t, std::cos(0.2 * static_cast<double>(t)));
+  const auto graph =
+      graph::RelationshipGraph::build(db, std::vector<EntityId>{e});
+  const MetricSpace space(db, graph);
+  MemoCounts counts;
+  MomentStore store;
+  FactorTrainingOptions opts;
+  opts.moment_store = &store;
+  opts.metrics = &counts.reg;
+  FactorTrainingOptions cold_opts;
+  std::unique_ptr<FactorSet> set;
+  const auto train = [&] {
+    set = std::make_unique<FactorSet>(db, graph, space, 0, end, opts);
+  };
+  const std::uint64_t n = space.size();
+  EXPECT_EQ(counts.delta(train), std::pair(std::uint64_t{0}, n));
+  EXPECT_EQ(counts.delta(train), std::pair(n, std::uint64_t{0}));
+  expect_same_factors(*set, FactorSet(db, graph, space, 0, end, cold_opts));
+
+  db.metrics().upsert_cell(e, lag, end - 8, 0.5);  // moves the mark only
+  const auto [hits, lagging] = counts.delta(train);
+  EXPECT_EQ(hits + lagging, n);
+  EXPECT_GT(lagging, 0u);
+  EXPECT_LT(lagging, n);
+  expect_same_factors(*set, FactorSet(db, graph, space, 0, end, cold_opts));
+  EXPECT_EQ(counts.delta(train), std::pair(n, std::uint64_t{0}));
+}
+
+TEST(MomentStore, TwelveThreadsOnOneSlotFitOnce) {
+  // Twelve trainings of the same problem race for each slot; its mutex
+  // serializes the first fit, so each slot is fit exactly once and the
+  // other eleven copy the memo.
+  ChainFixture f(120);
+  MomentStore store;
+  obs::MetricsRegistry reg;
+  FactorTrainingOptions opts;
+  opts.moment_store = &store;
+  opts.metrics = &reg;
+  constexpr std::size_t kThreads = 12;
+  std::vector<std::unique_ptr<FactorSet>> sets(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      sets[i] = std::make_unique<FactorSet>(f.db, f.graph, *f.space, 0, 120,
+                                            opts);
+    });
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  const std::uint64_t slots = f.space->size();
+  EXPECT_EQ(store.size(), slots);
+  EXPECT_EQ(reg.counter("cache.factor_misses")->value(), slots);
+  EXPECT_EQ(reg.counter("train.factors_trained")->value(), slots);
+  EXPECT_EQ(reg.counter("cache.factor_hits")->value(),
+            (kThreads - 1) * slots);
+  FactorTrainingOptions cold_opts;
+  const FactorSet cold(f.db, f.graph, *f.space, 0, 120, cold_opts);
+  for (const auto& set : sets) expect_same_factors(*set, cold);
 }
 
 TEST(MomentStore, GenerationResetAndPruneDropBlocks) {

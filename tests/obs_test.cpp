@@ -298,10 +298,11 @@ TEST(Metrics, ResetZeroesButKeepsPointersValid) {
   EXPECT_EQ(reg.find_counter("n")->value(), 1u);
 }
 
-// The cross-symptom factor cache must actually engage in a batch run: with
-// symptoms whose relationship graphs overlap (here: identical), the second
-// and later symptoms are served from cache, and the engine reports that
-// through the registry the caller attached.
+// The cross-symptom factor memo (one per moment-store slot) must actually
+// engage in a batch run: with symptoms whose relationship graphs overlap
+// (here: identical), the second and later symptoms copy the memoized
+// factors, and the engine reports that through the registry the caller
+// attached.
 TEST(Metrics, BatchDiagnosisRecordsFactorCacheHits) {
   using telemetry::EntityType;
   using telemetry::MonitoringDb;

@@ -258,7 +258,7 @@ TEST(ServiceSoak, ThousandRequestsUnderStreamingIngest) {
 }
 
 // Bitwise service-vs-direct at matching db versions, while ingest churns the
-// epoch-keyed caches. Smaller request count than the soak — every kOk
+// training cache. Smaller request count than the soak — every kOk
 // response is re-executed directly against a version-matched db copy.
 TEST(ServiceDeterminism, ResponsesMatchDirectExecutionAtSameDbVersion) {
   const ChainEnv env = make_chain_env(160);

@@ -433,7 +433,7 @@ TEST(MetricStoreStreaming, ExtendAxisPadsMissingWithoutStructuralBump) {
   EXPECT_TRUE(s->is_valid(1));
   EXPECT_FALSE(s->is_valid(2));
   // Growth changes no existing window read: epochs and the structural
-  // version hold, so epoch-keyed caches keep hitting.
+  // version hold.
   EXPECT_EQ(store.structural_version(), structural);
   EXPECT_EQ(store.series_epoch(e, k), epoch);
 }
@@ -446,7 +446,7 @@ TEST(MetricStoreStreaming, EraseIsStructural) {
   const std::uint64_t structural = store.structural_version();
   store.erase(e, k);
   // Erasure resets the series' epoch to zero — the one transition that
-  // could ABA an epoch-keyed cache (erase + re-put at epoch 1 again), which
+  // could ABA an epoch-keyed reader (erase + re-put at epoch 1 again), which
   // is why it must bump the structural version and force a full reset.
   EXPECT_EQ(store.series_epoch(e, k), 0u);
   EXPECT_GT(store.structural_version(), structural);
