@@ -209,7 +209,8 @@ int main(int argc, char** argv) {
   service::DiagnosisServiceOptions sopts;
   sopts.num_workers = args.workers;
   sopts.max_queue = args.queue;
-  sopts.murphy.num_threads = 1;  // concurrency comes from the worker pool
+  // murphy.num_threads is left alone: the service runs every engine loop
+  // on its worker pool, so idle workers help the running diagnosis.
   sopts.murphy.obs.metrics = &obs::global_metrics();
   sopts.murphy.obs.collect_audit = !args.audit_out.empty();
   service::DiagnosisService svc(stream, sopts);

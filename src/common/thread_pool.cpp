@@ -25,79 +25,84 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::run_iterations() {
+bool ThreadPool::run_indices(Job& job, bool helper) {
   // Claim-one-index scheduling: dynamic load balance without chunk tuning.
   // Iterations are independent by contract, so claim order is irrelevant to
   // the result.
   for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) return;
+    if (helper && queued_.load(std::memory_order_relaxed) != 0) return false;
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return true;
     try {
-      (*body_)(i);
+      (*job.body)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!error_) error_ = std::current_exception();
+      if (!job.error) job.error = std::current_exception();
     }
   }
 }
 
+void ThreadPool::close(Job& job) {
+  if (!job.open) return;
+  job.open = false;
+  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+}
+
 void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::unique_lock<std::mutex> lock(mu_);
     work_cv_.wait(lock, [&] {
-      return stop_ || epoch_ != seen_epoch || !tasks_.empty();
+      return stop_ || !tasks_.empty() || !jobs_.empty();
     });
     if (stop_) return;  // queued tasks_ are abandoned here by contract
-    if (epoch_ != seen_epoch) {
-      // parallel_for batches outrank queued tasks.
-      seen_epoch = epoch_;
+    if (!tasks_.empty()) {
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      queued_.store(tasks_.size(), std::memory_order_relaxed);
+      ++tasks_running_;
       lock.unlock();
-      run_iterations();
+      try {
+        task();
+      } catch (...) {
+        std::lock_guard<std::mutex> elock(mu_);
+        if (!task_error_) task_error_ = std::current_exception();
+      }
+      task = nullptr;
       lock.lock();
-      if (--pending_ == 0) done_cv_.notify_one();
+      if (--tasks_running_ == 0 && tasks_.empty()) drain_cv_.notify_all();
       continue;
     }
-    std::function<void()> task = std::move(tasks_.front());
-    tasks_.pop_front();
-    ++tasks_running_;
+    // Idle: help the oldest open job. The job cannot leave its caller's
+    // stack while `helpers` counts this thread.
+    Job& job = *jobs_.front();
+    ++job.helpers;
     lock.unlock();
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard<std::mutex> elock(mu_);
-      if (!task_error_) task_error_ = std::current_exception();
-    }
+    const bool exhausted = run_indices(job, /*helper=*/true);
     lock.lock();
-    if (--tasks_running_ == 0 && tasks_.empty()) drain_cv_.notify_all();
+    if (exhausted) close(job);
+    if (--job.helpers == 0) job.helpers_left.notify_one();
   }
 }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty()) {
+  if (workers_.empty() || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
+  Job job;
+  job.body = &body;
+  job.n = n;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    body_ = &body;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    pending_ = workers_.size();
-    ++epoch_;
+    jobs_.push_back(&job);
   }
   work_cv_.notify_all();
-  run_iterations();  // the caller is a full participant
+  run_indices(job, /*helper=*/false);  // the caller alone can finish the loop
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
-  body_ = nullptr;
-  if (error_) {
-    std::exception_ptr e = error_;
-    error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  close(job);
+  job.helpers_left.wait(lock, [&] { return job.helpers == 0; });
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -115,6 +120,7 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(std::move(task));
+    queued_.store(tasks_.size(), std::memory_order_relaxed);
   }
   work_cv_.notify_one();
 }
@@ -129,16 +135,25 @@ void ThreadPool::drain() {
   }
 }
 
-void parallel_for(std::size_t num_threads, std::size_t n,
+void parallel_for(ThreadPool* pool, std::size_t num_threads, std::size_t n,
                   const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+    return;
+  }
   const std::size_t k = std::min(resolve_num_threads(num_threads),
                                  std::max<std::size_t>(n, 1));
   if (k <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(k - 1);
-  pool.parallel_for(n, body);
+  ThreadPool fresh(k - 1);
+  fresh.parallel_for(n, body);
+}
+
+void parallel_for(std::size_t num_threads, std::size_t n,
+                  const std::function<void(std::size_t)>& body) {
+  parallel_for(nullptr, num_threads, n, body);
 }
 
 }  // namespace murphy

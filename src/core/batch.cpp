@@ -64,20 +64,20 @@ BatchResult BatchDiagnoser::diagnose_symptoms(
     hooks.metrics->counter("batch.symptoms_diagnosed")
         ->add(result.symptoms.size());
 
-  // Symptoms parallelize at the outer level; when they do, the inner
-  // per-candidate parallelism is switched off to avoid oversubscription.
-  // Either split produces the same bits (determinism is per-diagnosis).
+  // One pool runs the symptom loop and every loop nested in it: a thread
+  // whose symptom is done helps the diagnoses still running, so the split
+  // between outer and inner parallelism needs no tuning. Any split produces
+  // the same bits (determinism is per-diagnosis).
+  ThreadPool pool(resolve_num_threads(opts_.murphy.num_threads) - 1);
   MurphyOptions inner = opts_.murphy;
-  if (resolve_num_threads(opts_.murphy.num_threads) > 1 &&
-      result.symptoms.size() > 1)
-    inner.num_threads = 1;
+  inner.pool = &pool;
 
   // Cross-symptom training cache. No diagnosis of this diagnoser is in
   // flight here, so no slot is in use and pruning is safe.
   caches_.prune(TrainingCaches::kMaxBlocks);
   caches_.attach(db, inner.training);
-  parallel_for(
-      opts_.murphy.num_threads, result.symptoms.size(), [&](std::size_t i) {
+  pool.parallel_for(
+      result.symptoms.size(), [&](std::size_t i) {
         // Explicit parent + symptom index as stream: the nested diagnosis
         // spans chain under this one on whatever thread runs it, so the
         // trace is thread-count invariant.

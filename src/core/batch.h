@@ -60,10 +60,11 @@ class BatchDiagnoser {
                                          TimeIndex train_end);
 
   // Diagnoses an explicit symptom list. Symptoms are diagnosed in parallel
-  // per opts.murphy.num_threads (each symptom is an independent inference);
-  // because every diagnosis is deterministic regardless of thread count, the
-  // batch result is too, and the inner per-candidate parallelism is disabled
-  // while the outer per-symptom loop is parallel without changing output.
+  // (each symptom is an independent inference) on one pool of
+  // resolve_num_threads(opts.murphy.num_threads) - 1 workers owned for the
+  // call, which also runs every diagnosis's own loops (opts.murphy.pool is
+  // replaced by it). Because every diagnosis is deterministic regardless of
+  // thread count, the batch result is too.
   [[nodiscard]] BatchResult diagnose_symptoms(
       const telemetry::MonitoringDb& db, std::vector<Symptom> symptoms,
       TimeIndex now, TimeIndex train_begin, TimeIndex train_end);

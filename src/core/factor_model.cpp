@@ -202,7 +202,7 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // One factor per variable, all independent: parallelize over targets.
   // Each factor is a pure function of its histories and the options, so
   // the trained set is bitwise identical at any thread count.
-  parallel_for(opts.num_threads, space.size(), [&](std::size_t t) {
+  parallel_for(opts.pool, opts.num_threads, space.size(), [&](std::size_t t) {
     const VarIndex target = t;
     obs::Span fit_span(tracer, "fit_factor", target, opts.trace_parent);
     const auto& tvar = space.var(target);

@@ -27,6 +27,10 @@
 #include "src/obs/hooks.h"
 #include "src/stats/ridge.h"
 
+namespace murphy {
+class ThreadPool;
+}  // namespace murphy
+
 namespace murphy::core {
 
 // The learned conditional for ONE variable (one metric of one entity).
@@ -107,6 +111,9 @@ struct FactorTrainingOptions {
   // hardware core, 1 = serial. Any value yields bitwise-identical factors:
   // every fit is a pure function of its target's and candidates' histories.
   std::size_t num_threads = 1;
+  // Non-owning executor for the per-variable fits; when set, num_threads is
+  // ignored (see MurphyOptions::pool).
+  ThreadPool* pool = nullptr;
   // Optional observability sinks (null = off). `trace_parent` is the stable
   // span id the per-variable fit spans attach to — fits run on worker
   // threads whose span stacks are empty, so the parent must be explicit for
@@ -161,8 +168,9 @@ struct SampleKernel {
 class FactorSet {
  public:
   // Trains every conditional on the window [train_begin, train_end).
-  // Training parallelizes over variables per opts.num_threads; the trained
-  // set is immutable afterwards and safe for concurrent readers.
+  // Training parallelizes over variables on opts.pool, or else per
+  // opts.num_threads; the trained set is immutable afterwards and safe for
+  // concurrent readers.
   FactorSet(const telemetry::MonitoringDb& db,
             const graph::RelationshipGraph& graph, const MetricSpace& space,
             TimeIndex train_begin, TimeIndex train_end,

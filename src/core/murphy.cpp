@@ -102,6 +102,7 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   obs::Span train_span(hooks.tracer, "train_factors");
   FactorTrainingOptions topts = opts_.training;
   topts.num_threads = opts_.num_threads;
+  topts.pool = opts_.pool;
   topts.tracer = hooks.tracer;
   topts.metrics = hooks.metrics;
   topts.trace_parent = train_span.id();
@@ -171,7 +172,8 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   std::vector<std::optional<double>> p_values(candidates.size());
   std::vector<obs::CandidateAudit> audits(
       hooks.collect_audit ? candidates.size() : 0);
-  parallel_for(opts_.num_threads, candidates.size(), [&](std::size_t i) {
+  parallel_for(opts_.pool, opts_.num_threads, candidates.size(),
+               [&](std::size_t i) {
     const graph::NodeIndex cand = candidates[i];
     // Stable stream/parent ids keep the trace identical at any thread count.
     obs::Span cand_span(hooks.tracer, "evaluate_candidate", cand,
@@ -259,7 +261,8 @@ DiagnosisResult MurphyDiagnoser::diagnose(const DiagnosisRequest& request) {
   // 6. Labels + explanation chains.
   obs::Span explain_span(hooks.tracer, "explain");
   std::vector<EntityLabel> labels(graph.node_count());
-  parallel_for(opts_.num_threads, graph.node_count(), [&](std::size_t n) {
+  parallel_for(opts_.pool, opts_.num_threads, graph.node_count(),
+               [&](std::size_t n) {
     labels[n] =
         label_node(db, space, factors, n, state, opts_.thresholds);
   });

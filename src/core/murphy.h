@@ -36,6 +36,12 @@ struct MurphyOptions {
   // its own RNG stream derived via mix_seed, never from a shared sequential
   // one. See DESIGN.md "Execution model".
   std::size_t num_threads = 0;
+  // Non-owning executor for those phases. When set, every parallel loop of
+  // the diagnosis runs on pool->parallel_for and num_threads is ignored:
+  // the diagnosis service passes its worker pool, so workers with no queued
+  // request help the running diagnoses, and BatchDiagnoser passes the one
+  // pool it owns per call. The bits are the same either way.
+  ThreadPool* pool = nullptr;
   // Observability sinks (DESIGN.md "Observability"): an optional span tracer
   // (flame-chart spans for every phase, per-factor fit and per-candidate
   // evaluation), an optional metrics registry (engine counters/histograms),

@@ -109,10 +109,17 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
   std::vector<std::vector<const CallEdge*>> calls_of(num_s);
   for (const CallEdge& e : app.call_edges)
     if (e.caller < num_s) calls_of[e.caller].push_back(&e);
+  // Each container's services, in service order (the summation order).
+  std::vector<std::vector<std::size_t>> services_of(num_c);
+  for (std::size_t s = 0; s < num_s; ++s)
+    services_of[app.services[s].container].push_back(s);
 
+  // Per-slice scratch, reset at the top of each slice.
+  std::vector<double> rate, ctr_demand, node_demand, squeeze, total_latency;
+  std::vector<ContainerPressure> pressure(num_c);
   for (TimeIndex t = 0; t < slices; ++t) {
     // Request rate per service = sum of client rps * demand multiplier.
-    std::vector<double> rate(num_s, 0.0);
+    rate.assign(num_s, 0.0);
     for (std::size_t cl = 0; cl < num_cl; ++cl) {
       const double rps = app.clients[cl].rps_schedule[t];
       for (std::size_t s = 0; s < num_s; ++s)
@@ -120,8 +127,7 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
     }
 
     // Container CPU demand (cores): service work + fault pressure.
-    std::vector<double> ctr_demand(num_c, 0.0);
-    std::vector<ContainerPressure> pressure(num_c);
+    ctr_demand.assign(num_c, 0.0);
     for (std::size_t c = 0; c < num_c; ++c) {
       pressure[c] =
           pressure_at(faults, c, app.containers[c].cpu_limit_cores, t);
@@ -134,10 +140,10 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
     // Node contention: when the sum of co-located demand exceeds the node's
     // cores, every container on the node gets squeezed proportionally. This
     // is the shared-resource coupling that creates cyclic influence.
-    std::vector<double> node_demand(num_n, 0.0);
+    node_demand.assign(num_n, 0.0);
     for (std::size_t c = 0; c < num_c; ++c)
       node_demand[app.containers[c].node] += ctr_demand[c];
-    std::vector<double> squeeze(num_n, 1.0);
+    squeeze.assign(num_n, 1.0);
     for (std::size_t n = 0; n < num_n; ++n) {
       const double cores = app.nodes[n].cpu_cores;
       if (node_demand[n] > cores) squeeze[n] = cores / node_demand[n];
@@ -168,7 +174,7 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
     // End-to-end latency per service via the call graph: repeated relaxation
     // L(s) = own(s) + sum over callees fanout * L(callee). Call graphs are
     // DAGs so |V| passes converge.
-    std::vector<double> total_latency = own_latency;
+    total_latency = own_latency;
     for (std::size_t pass = 0; pass < num_s; ++pass) {
       bool changed = false;
       for (std::size_t s = 0; s < num_s; ++s) {
@@ -190,8 +196,7 @@ SimResult simulate(const AppModel& app, const std::vector<Fault>& faults,
       ctr_cpu[c][t] = std::clamp(util, 0.0, 1.5) * 100.0 *
                       (1.0 + rng.normal(0.0, opts.noise));
       double mem = 0.0, disk = 0.0, net = 0.0;
-      for (std::size_t s = 0; s < num_s; ++s) {
-        if (app.services[s].container != c) continue;
+      for (const std::size_t s : services_of[c]) {
         mem += app.services[s].mem_base +
                app.services[s].mem_per_rps * rate[s];
         net += rate[s] * 0.01;  // ~10 KB per request

@@ -167,6 +167,9 @@ ServiceResponse DiagnosisService::execute(const Pending& p) {
   }
 
   core::MurphyOptions mopts = opts_.murphy;
+  // The worker pool is the engine's executor: workers with no queued
+  // request help this diagnosis's loops (DESIGN.md §9).
+  mopts.pool = pool_.get();
   caches_.attach(db, mopts.training);
   if (p.req.deadline != std::chrono::steady_clock::time_point::max()) {
     const auto deadline = p.req.deadline;

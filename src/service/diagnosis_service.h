@@ -10,6 +10,13 @@
 // running diagnosis polls the deadline at phase boundaries through the
 // engine's cooperative-cancellation hook (MurphyOptions::cancel).
 //
+// Execution: the worker pool is also the engine's executor. Each request is
+// one pool task, and its diagnosis runs every parallel loop (factor
+// training, candidate evaluation, node labelling) on the same pool through
+// MurphyOptions::pool, so workers with no queued request help the running
+// diagnoses; MurphyOptions::num_threads is ignored. Helping is bounded by
+// num_workers: the service creates no thread after construction.
+//
 // Determinism contract: a completed (kOk) response is a pure function of
 // (request, db version, service options) — bitwise identical at any worker
 // count, queue depth or arrival order. The pieces: every diagnosis runs

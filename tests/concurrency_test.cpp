@@ -5,7 +5,11 @@
 // Plus unit tests for the ThreadPool / parallel_for machinery itself.
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <latch>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -65,6 +69,127 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
   std::size_t sum = 0;  // no atomics needed: inline on this thread
   pool.parallel_for(10, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum, 45u);
+}
+
+// Long enough never to fire on a healthy pool, short enough that a
+// regression fails the test instead of hanging it.
+constexpr auto kGuard = std::chrono::seconds(20);
+
+TEST(ThreadPool, TaskParallelForCompletesWhileAnotherWorkerIsBlocked) {
+  // The tasks share this state by value: on failure the pool is leaked
+  // with its tasks still running, and they must not outlive the test.
+  struct State {
+    std::promise<void> release;
+    std::promise<void> blocker_started;
+    std::promise<std::size_t> loop_done;
+  };
+  const auto st = std::make_shared<State>();
+  std::shared_future<void> released = st->release.get_future().share();
+  std::future<void> started = st->blocker_started.get_future();
+  std::future<std::size_t> done = st->loop_done.get_future();
+  auto owned = std::make_unique<ThreadPool>(2);
+  ThreadPool* const pool = owned.get();
+  pool->submit([st, released] {
+    st->blocker_started.set_value();
+    released.wait_for(kGuard);
+  });
+  started.wait();
+  // The other worker's loop must not wait for the blocked one.
+  pool->submit([st, pool] {
+    std::atomic<std::size_t> sum{0};
+    pool->parallel_for(100, [&](std::size_t i) { sum.fetch_add(i); });
+    st->loop_done.set_value(sum.load());
+  });
+  const bool finished = done.wait_for(kGuard) == std::future_status::ready;
+  st->release.set_value();
+  if (!finished) {
+    // A deadlocked pool can be neither drained nor joined: leak it, so the
+    // suite reports the failure instead of hanging.
+    (void)owned.release();
+    FAIL() << "parallel_for waited for a busy worker";
+  }
+  pool->drain();
+  EXPECT_EQ(done.get(), 4950u);
+}
+
+TEST(ThreadPool, ConcurrentParallelForsKeepTheirOwnResults) {
+  constexpr std::size_t kTasks = 3;
+  constexpr std::size_t kN = 2000;
+  ThreadPool pool(kTasks);
+  std::latch all_running(kTasks);
+  std::vector<std::vector<std::size_t>> out(kTasks,
+                                            std::vector<std::size_t>(kN));
+  for (std::size_t k = 0; k < kTasks; ++k)
+    pool.submit([&, k] {
+      all_running.arrive_and_wait();  // the three loops overlap
+      pool.parallel_for(kN, [&](std::size_t i) { out[k][i] = (k + 1) * i; });
+    });
+  pool.drain();
+  for (std::size_t k = 0; k < kTasks; ++k)
+    for (std::size_t i = 0; i < kN; ++i)
+      ASSERT_EQ(out[k][i], (k + 1) * i) << "task " << k << " index " << i;
+}
+
+TEST(ThreadPool, NestedParallelForOnTheSamePoolCompletes) {
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 16;
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  pool.parallel_for(kOuter, [&](std::size_t i) {
+    pool.parallel_for(kInner,
+                      [&](std::size_t j) { hits[i * kInner + j].fetch_add(1); });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, ExceptionSurfacesOnlyAtItsOwnCaller) {
+  ThreadPool pool(3);
+  std::latch both_running(2);
+  std::atomic<bool> failing_threw{false};
+  std::atomic<bool> clean_threw{false};
+  std::atomic<std::size_t> clean_ran{0};
+  pool.submit([&] {
+    both_running.arrive_and_wait();
+    try {
+      pool.parallel_for(500, [&](std::size_t i) {
+        if (i == 7) throw std::runtime_error("job boom");
+      });
+    } catch (const std::runtime_error&) {
+      failing_threw = true;
+    }
+  });
+  pool.submit([&] {
+    both_running.arrive_and_wait();
+    try {
+      pool.parallel_for(500, [&](std::size_t) { clean_ran.fetch_add(1); });
+    } catch (...) {
+      clean_threw = true;
+    }
+  });
+  EXPECT_NO_THROW(pool.drain());  // both tasks caught what they saw
+  EXPECT_TRUE(failing_threw.load());
+  EXPECT_FALSE(clean_threw.load());
+  EXPECT_EQ(clean_ran.load(), 500u);
+}
+
+TEST(ThreadPool, IdleWorkerHelpsARunningLoop) {
+  // Whichever thread claims index 0 blocks until index 1 has run, so the
+  // loop finishes in time only if a second thread claims index 1.
+  ThreadPool pool(1);
+  std::promise<void> one_ran;
+  std::shared_future<void> one_done = one_ran.get_future().share();
+  std::thread::id thread_of[2];
+  bool released = false;
+  pool.parallel_for(2, [&](std::size_t i) {
+    thread_of[i] = std::this_thread::get_id();
+    if (i == 1)
+      one_ran.set_value();
+    else
+      released = one_done.wait_for(kGuard) == std::future_status::ready;
+  });
+  EXPECT_TRUE(released) << "no idle worker helped the loop";
+  EXPECT_NE(thread_of[0], thread_of[1]);
 }
 
 TEST(ParallelFor, SerialPathMatchesParallelPath) {

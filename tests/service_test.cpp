@@ -75,7 +75,8 @@ ChainEnv make_chain_env(std::size_t slices) {
 core::MurphyOptions fast_opts() {
   core::MurphyOptions mopts;
   mopts.sampler.num_samples = 20;
-  mopts.num_threads = 1;  // workers provide the concurrency
+  // Serial direct runs; the service ignores it and runs loops on its pool.
+  mopts.num_threads = 1;
   mopts.seed = 7;
   return mopts;
 }
@@ -339,21 +340,34 @@ TEST(ServiceDeterminism, WorkerCountDoesNotChangeBits) {
     reqs.push_back(r);
   }
 
+  // The last configuration submits one request at a time, so two of the
+  // three workers are idle and help the running diagnosis's loops.
+  struct Config {
+    std::size_t workers;
+    bool one_at_a_time;
+  };
   std::vector<std::vector<core::DiagnosisResult>> per_count;
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+  for (const Config cfg : {Config{0, false}, Config{1, false},
+                           Config{3, false}, Config{3, true}}) {
     TelemetryStream stream{MonitoringDb(env.db)};  // copy: identical values
     DiagnosisServiceOptions opts;
     opts.murphy = fast_opts();
-    opts.num_workers = workers;
+    opts.num_workers = cfg.workers;
     DiagnosisService svc(stream, opts);
-    std::vector<std::future<ServiceResponse>> futs;
-    for (const ServiceRequest& r : reqs) futs.push_back(svc.submit(r));
     std::vector<core::DiagnosisResult> results;
-    for (auto& f : futs) {
+    const auto collect = [&](std::future<ServiceResponse>& f) {
       ServiceResponse resp = f.get();
       ASSERT_EQ(resp.status, RequestStatus::kOk);
       results.push_back(std::move(resp.result));
+    };
+    std::vector<std::future<ServiceResponse>> futs;
+    for (const ServiceRequest& r : reqs) {
+      futs.push_back(svc.submit(r));
+      if (cfg.one_at_a_time) collect(futs.back());
     }
+    if (!cfg.one_at_a_time)
+      for (auto& f : futs) collect(f);
+    ASSERT_EQ(results.size(), reqs.size());
     svc.stop();
     per_count.push_back(std::move(results));
   }

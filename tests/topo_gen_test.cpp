@@ -3,6 +3,7 @@
 // the guarantee that generated graphs never trip the ingest guards (no
 // self-loops, no orphan edges — those counters must not move).
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/emulation/topo_gen.h"
 #include "src/obs/metrics.h"
 #include "src/telemetry/metric_catalog.h"
@@ -252,6 +254,41 @@ TEST(TopoGen, CaseIsDeterministicAndLabeled) {
     ASSERT_NE(sb, nullptr);
     EXPECT_TRUE(sa->bitwise_equal(*sb));
   }
+}
+
+// The perfbench fleet (320 services over 3 apps, topology seed 303, the
+// first cascade case of the battle matrix's large level) must come out of
+// the simulator cell for cell as it always has: its digest pins every value
+// bit and validity flag, entities in id order, kinds in insertion order.
+TEST(TopoGen, FleetTelemetryBitwiseGolden) {
+  TopoGenOptions opts;
+  opts.services = 320;
+  opts.applications = 3;
+  opts.seed = 303;
+  const GeneratedTopology topo = generate_topology(opts);
+  TopologyCaseOptions copts;
+  copts.fault = IncidentKind::kCascade;
+  copts.seed = mix_seed(mix_seed(1, 2 * 131 + 4), 0);
+  const DiagnosisCase c = make_topology_case(topo, copts);
+
+  std::uint64_t digest = 0xCBF29CE484222325ULL;  // FNV-1a over 64-bit words
+  const auto mix = [&](std::uint64_t word) {
+    digest ^= word;
+    digest *= 0x100000001B3ULL;
+  };
+  std::size_t cells = 0;
+  for (const EntityId e : c.db.all_entities())
+    for (const MetricKindId k : c.db.metrics().kinds_of(e)) {
+      const telemetry::TimeSeries* s = c.db.metrics().find(e, k);
+      ASSERT_NE(s, nullptr);
+      for (TimeIndex t = 0; t < s->size(); ++t) {
+        mix(std::bit_cast<std::uint64_t>(s->value(t)));
+        mix(s->is_valid(t) ? 1 : 0);
+      }
+      cells += s->size();
+    }
+  EXPECT_EQ(cells, 471840u);
+  EXPECT_EQ(digest, 7927263275068982178ULL);
 }
 
 }  // namespace
