@@ -4,11 +4,17 @@
 // growing relationship-graph sizes.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench/bench_util.h"
+#include "src/common/rng.h"
+#include "src/common/thread_pool.h"
+#include "src/core/factor_cache.h"
 #include "src/core/factor_model.h"
 #include "src/core/metric_space.h"
 #include "src/core/murphy.h"
 #include "src/core/sampler.h"
+#include "src/emulation/topo_gen.h"
 #include "src/enterprise/dynamics.h"
 #include "src/enterprise/topology.h"
 #include "src/eval/runner.h"
@@ -33,6 +39,86 @@ enterprise::Topology make_env(std::size_t apps, std::size_t slices) {
   dopt.seed = 6;
   enterprise::generate_dynamics(topo, {}, dopt);
   return topo;
+}
+
+// The perfbench fleet (320 services, 3 applications, topology seed 303, the
+// cascade case of battle-matrix cell (2, 4, 0)): the graph from its symptom
+// covers the whole db. `split` is the first window end the benchmarks
+// train at, 50 slices before the incident onset.
+struct Fleet {
+  emulation::DiagnosisCase c;
+  TimeIndex split = 0;
+};
+
+const Fleet& fleet() {
+  static const Fleet f = [] {
+    emulation::TopoGenOptions to;
+    to.services = 320;
+    to.applications = 3;
+    to.seed = 303;
+    emulation::TopologyCaseOptions co;
+    co.fault = emulation::IncidentKind::kCascade;
+    co.seed = mix_seed(mix_seed(1, 2 * 131 + 4), 0);
+    Fleet out;
+    out.c = emulation::make_topology_case(emulation::generate_topology(to), co);
+    out.split = out.c.incident_start - 50;
+    return out;
+  }();
+  return f;
+}
+
+// A DIAGNOSE's serial set-up on the fleet: relationship graph, variable
+// space and the state snapshot.
+void BM_RequestSetup(benchmark::State& state) {
+  const Fleet& f = fleet();
+  const std::vector<EntityId> seeds{f.c.symptom_entity};
+  std::size_t nodes = 0, vars = 0;
+  for (auto _ : state) {
+    const auto graph =
+        graph::RelationshipGraph::build(f.c.db, seeds, f.c.max_hops);
+    const core::MetricSpace space(f.c.db, graph);
+    const auto snapshot = space.snapshot(f.c.db, f.split);
+    benchmark::DoNotOptimize(snapshot.data());
+    nodes = graph.node_count();
+    vars = space.size();
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+  state.counters["vars"] = static_cast<double>(vars);
+}
+
+// Training through a moment store at a window end one row past the last
+// one, as under REPLAY churn: every block folds one row and every target
+// refits. A fresh store is warmed (untimed) at `split` whenever the window
+// reaches the end of the axis.
+void BM_WarmTraining(benchmark::State& state) {
+  const std::size_t threads = static_cast<std::size_t>(state.range(0));
+  const Fleet& f = fleet();
+  const auto graph = graph::RelationshipGraph::build(
+      f.c.db, std::vector<EntityId>{f.c.symptom_entity}, f.c.max_hops);
+  const core::MetricSpace space(f.c.db, graph);
+  const TimeIndex axis_end = f.c.db.metrics().axis().size();
+  ThreadPool pool(threads - 1);
+  std::unique_ptr<core::MomentStore> store;
+  core::FactorTrainingOptions opts;
+  opts.pool = &pool;
+  const auto train = [&](TimeIndex end) {
+    const core::FactorSet factors(f.c.db, graph, space, 0, end, opts);
+    benchmark::DoNotOptimize(&factors);
+  };
+  TimeIndex end = axis_end;
+  for (auto _ : state) {
+    if (end == axis_end) {
+      state.PauseTiming();
+      store = std::make_unique<core::MomentStore>();
+      opts.moment_store = store.get();
+      end = f.split;
+      train(end);
+      state.ResumeTiming();
+    }
+    train(++end);
+  }
+  state.counters["vars"] = static_cast<double>(space.size());
+  state.counters["threads"] = static_cast<double>(threads);
 }
 
 void BM_OnlineTraining(benchmark::State& state) {
@@ -186,6 +272,11 @@ BENCHMARK(BM_OnlineTraining)
     ->Args({12, 168, 4})
     ->Args({12, 168, 0})
     ->Unit(benchmark::kMillisecond);
+
+// The per-request fixed costs of a fleet_live DIAGNOSE: serial set-up, and
+// training with every block one row longer (1 thread and the service's 3).
+BENCHMARK(BM_RequestSetup)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WarmTraining)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 // Inference cost ~ (N+M) * W: sweep Gibbs rounds.
 BENCHMARK(BM_CounterfactualEvaluation)

@@ -23,8 +23,9 @@
 // rows below a mark are fixed by the history id and rows past it were
 // never written, so the tag fixes every value the fit read, per-request
 // rows included. A FactorSet whose target problem another symptom or
-// request already fit at the same window copies the memo (counter
-// `cache.factor_hits`) instead of fitting (`cache.factor_misses`); a hit
+// request already fit at the same window binds the memo in place, under
+// the slot mutex, sharing its model (counter `cache.factor_hits`) instead
+// of fitting (`cache.factor_misses`); a hit
 // reads no block data. A fit from a transient block (a window older than
 // the block) stores no memo. Sharing is bitwise safe: the factor is a pure
 // function of the block's columns and rows and the fit options, none of

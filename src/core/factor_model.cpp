@@ -5,7 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <functional>
 
 #include "src/common/thread_pool.h"
 #include "src/stats/correlation.h"
@@ -13,16 +13,6 @@
 #include "src/telemetry/monitoring_db.h"
 
 namespace murphy::core {
-
-MetricConditional::MetricConditional(
-    VarIndex target, std::vector<VarIndex> features,
-    std::shared_ptr<const stats::RidgeRegression> model, double hist_mean,
-    double hist_sigma)
-    : target_(target),
-      features_(std::move(features)),
-      model_(std::move(model)),
-      hist_mean_(hist_mean),
-      hist_sigma_(hist_sigma) {}
 
 double MetricConditional::predict(std::span<const double> state) const {
   if (features_.empty() || model_ == nullptr) return hist_mean_;
@@ -42,23 +32,48 @@ double MetricConditional::sample(std::span<const double> state,
 
 namespace {
 
+// Per-worker scratch for the per-target fits, reused by every target a
+// thread trains (as sampler.cpp's kernel scratch is): a target allocates
+// only what outlives it.
+struct FitScratch {
+  std::vector<graph::NodeIndex> nodes;
+  std::vector<VarIndex> cols;
+  std::vector<const telemetry::TimeSeries*> cs;
+  std::vector<std::pair<double, std::size_t>> scored;
+  std::vector<std::size_t> sel;
+  stats::CenteredMoments plain;
+  stats::CenteredMoments decayed;
+  std::vector<double> x;
+  MomentBlock transient;  // a block no slot keeps
+  CachedFactor factor;    // a fit no memo keeps
+};
+
+FitScratch& fit_scratch() {
+  thread_local FitScratch s;
+  return s;
+}
+
 // Derives one target's factor from its moment block (column 0 the target,
-// then its candidates in (entity, kind) order). `cs` are the block's
-// series, read again only by the exact residual pass over [begin, end).
-CachedFactor fit_block(const MomentBlock& blk,
-                       std::span<const telemetry::TimeSeries* const> cs,
-                       TimeIndex train_begin, TimeIndex train_end,
-                       const FactorTrainingOptions& opts) {
+// then its candidates in (entity, kind) order) into `cf`. `cs` are the
+// block's series, read again only by the exact residual pass over
+// [begin, end).
+void fit_block(const MomentBlock& blk,
+               std::span<const telemetry::TimeSeries* const> cs,
+               TimeIndex train_begin, TimeIndex train_end,
+               const FactorTrainingOptions& opts, FitScratch& s,
+               CachedFactor& cf) {
   const std::size_t d = blk.cols.size();
   const stats::CrossMoments& pm = blk.plain;
   const auto n = static_cast<double>(pm.rows());
   const double cyy = pm.centered(0, 0);
-  CachedFactor cf;
   cf.hist_mean = pm.mean(0);
   cf.hist_sigma = pm.rows() < 2 ? 0.0 : std::sqrt(cyy / (n - 1.0));
+  cf.features.clear();
+  cf.model.reset();
 
   // Candidates scored by |pearson| against the target, cut at 0.05.
-  std::vector<std::pair<double, std::size_t>> scored;
+  auto& scored = s.scored;
+  scored.clear();
   for (std::size_t c = 1; c < d; ++c) {
     const double r = std::abs(stats::pearson_moments(
         pm.centered(0, c), cyy, pm.centered(c, c), n, pm.mean(0),
@@ -75,9 +90,11 @@ CachedFactor fit_block(const MomentBlock& blk,
   if (scored.size() > opts.top_b) scored.resize(opts.top_b);
 
   if (!scored.empty()) {
-    std::vector<std::size_t> sel{0};
+    auto& sel = s.sel;
+    sel.assign(1, 0);
     for (const auto& [r, c] : scored) sel.push_back(c);
-    const stats::CenteredMoments plain = pm.select(sel);
+    pm.select(sel, s.plain);
+    if (blk.decayed.dims() > 0) blk.decayed.select(sel, s.decayed);
     auto model = std::make_shared<stats::RidgeRegression>(opts.l2);
     // The exact residual pass, for when the moment form cancels.
     const auto exact = [&](const stats::RidgeRegression& m) {
@@ -85,25 +102,22 @@ CachedFactor fit_block(const MomentBlock& blk,
         return cs[c] == nullptr ? 0.0 : cs[c]->value_or(t, 0.0);
       };
       stats::OnlineStats resid;
-      std::vector<double> x(sel.size() - 1);
+      s.x.resize(sel.size() - 1);
       for (TimeIndex t = train_begin; t < train_end; ++t) {
         for (std::size_t j = 1; j < sel.size(); ++j)
-          x[j - 1] = value(sel[j], t);
-        resid.add(value(0, t) - m.predict(x));
+          s.x[j - 1] = value(sel[j], t);
+        resid.add(value(0, t) - m.predict(s.x));
       }
       return resid.count() >= 2 ? resid.stddev() : 0.0;
     };
-    model->fit_moments(
-        blk.decayed.dims() > 0 ? blk.decayed.select(sel) : plain, plain,
-        exact);
+    model->fit_moments(blk.decayed.dims() > 0 ? s.decayed : s.plain, s.plain,
+                       std::ref(exact));
     cf.model = std::move(model);
-    cf.features.reserve(scored.size());
     for (const auto& [r, c] : scored) cf.features.push_back(c);
   }
   cf.robust_center = stats::median_sorted(blk.sorted_target);
   cf.robust_sigma = stats::mad_sigma_sorted(blk.sorted_target,
                                             cf.hist_sigma);
-  return cf;
 }
 
 }  // namespace
@@ -112,6 +126,7 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
                      const graph::RelationshipGraph& graph,
                      const MetricSpace& space, TimeIndex train_begin,
                      TimeIndex train_end, const FactorTrainingOptions& opts) {
+  (void)db;  // read through `space`'s series
   // Degenerate training windows (empty after a symptom at t=0, or inverted
   // after clock-skewed telemetry) are defined, not asserted: clamp to an
   // empty window, which trains flat hist-mean conditionals everywhere
@@ -119,32 +134,34 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   if (train_end < train_begin) train_end = train_begin;
   if (train_end == train_begin && opts.metrics != nullptr)
     opts.metrics->counter("train.empty_windows")->add(1);
-  conditionals_.resize(space.size());
+  const std::size_t nvars = space.size();
+  assert(nvars < std::numeric_limits<std::uint32_t>::max());
+  conditionals_.resize(nvars);
+  kernel_.vars.assign(nvars, {});
   const double decay = opts.recency_half_life > 0.0
                            ? std::pow(0.5, 1.0 / opts.recency_half_life)
                            : 1.0;
 
-  // Each variable's block column, read once: its series, (entity, kind)
-  // ref, history id (0 = no series), append mark, a digest of (ref,
+  // Each variable's block column, read once: its (entity, kind) ref,
+  // history id (0 = no series), append mark, a digest of (ref,
   // history id) for slot keys, and an independent one that also covers
   // the mark within the window for memo tags. Rows below the mark are
   // fixed by the history id and rows past it were never written, so
   // (history id, mark) fixes every value the window reads.
   struct Column {
-    const telemetry::TimeSeries* series;
     MetricRef ref;
     std::uint64_t history;
     TimeIndex mark;
     std::uint64_t digest;
     std::uint64_t tag;
   };
-  std::vector<Column> column(space.size());
-  for (VarIndex v = 0; v < space.size(); ++v) {
+  std::vector<Column> column(nvars);
+  for (VarIndex v = 0; v < nvars; ++v) {
     Column& c = column[v];
     c.ref = MetricRef{space.var(v).entity, space.var(v).kind};
-    c.series = db.metrics().find(c.ref.entity, c.ref.kind);
-    c.history = c.series == nullptr ? 0 : c.series->history_id();
-    c.mark = c.series == nullptr ? 0 : c.series->append_mark();
+    const telemetry::TimeSeries* series = space.series(v);
+    c.history = series == nullptr ? 0 : series->history_id();
+    c.mark = series == nullptr ? 0 : series->append_mark();
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(c.ref.entity.value()) << 32) |
         c.ref.kind.value();
@@ -152,18 +169,24 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     c.tag = hash_mix(hash_mix(c.history ^ 0x7A65C0DEu, packed),
                      std::min(c.mark, train_end));
   }
+  const std::span<const VarIndex> by_ref = space.by_ref();
 
-  // Every variable in (entity, kind) order. A node's variables are one run
-  // of it, so a target's block columns are the runs of its nodes taken in
-  // entity order.
-  std::vector<VarIndex> by_ref(space.size());
-  std::iota(by_ref.begin(), by_ref.end(), VarIndex{0});
-  std::sort(by_ref.begin(), by_ref.end(), [&](VarIndex a, VarIndex b) {
-    return column[a].ref < column[b].ref;
-  });
-  std::vector<std::size_t> run_begin(graph.node_count());
-  for (std::size_t i = by_ref.size(); i-- > 0;)
-    run_begin[space.var(by_ref[i]).node] = i;
+  // Kernel slots by prefix sums: target v may select at most
+  // min(top_b, its candidate count) features, and writes them (with their
+  // weights and its own means) at slot_begin[v]; the pass after the loop
+  // packs them.
+  std::vector<std::size_t> slot_begin(nvars + 1, 0);
+  for (graph::NodeIndex node = 0; node < graph.node_count(); ++node) {
+    std::size_t candidates = space.vars_of(node).size();
+    for (const graph::NodeIndex nb : graph.in_neighbors(node))
+      candidates += space.vars_of(nb).size();
+    for (const VarIndex v : space.vars_of(node))
+      slot_begin[v + 1] = std::min(opts.top_b, candidates - 1);
+  }
+  for (VarIndex v = 0; v < nvars; ++v) slot_begin[v + 1] += slot_begin[v];
+  kernel_.feat.resize(slot_begin[nvars]);
+  kernel_.wdiv.resize(slot_begin[nvars]);
+  std::vector<double> own_mean(slot_begin[nvars]);
 
   // Observability: resolve instruments once, outside the hot loop (the
   // registry lookup takes a mutex; the updates below are lock-free atomics).
@@ -202,27 +225,33 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
   // One factor per variable, all independent: parallelize over targets.
   // Each factor is a pure function of its histories and the options, so
   // the trained set is bitwise identical at any thread count.
-  parallel_for(opts.pool, opts.num_threads, space.size(), [&](std::size_t t) {
+  parallel_for(opts.pool, opts.num_threads, nvars, [&](std::size_t t) {
     const VarIndex target = t;
     obs::Span fit_span(tracer, "fit_factor", target, opts.trace_parent);
     const auto& tvar = space.var(target);
+    FitScratch& s = fit_scratch();
 
     // Block columns: the target, then its candidate features — all metrics
     // of in-neighbor nodes (the in_nbrs(v) of the factor definition), plus
     // the entity's OTHER own metrics, which the paper's P_v(v | ...) treats
-    // jointly — in (entity, kind) order.
+    // jointly — in (entity, kind) order: the by_ref runs of the nodes,
+    // taken in entity order.
     const auto in_nbrs = graph.in_neighbors(tvar.node);
-    std::vector<graph::NodeIndex> nodes(in_nbrs.begin(), in_nbrs.end());
-    nodes.push_back(tvar.node);
-    std::sort(nodes.begin(), nodes.end(),
+    s.nodes.assign(in_nbrs.begin(), in_nbrs.end());
+    s.nodes.push_back(tvar.node);
+    std::sort(s.nodes.begin(), s.nodes.end(),
               [&](graph::NodeIndex a, graph::NodeIndex b) {
-                return graph.entity_of(a) < graph.entity_of(b);
+                const std::size_t ra = space.ref_begin(a);
+                const std::size_t rb = space.ref_begin(b);
+                return ra != rb ? ra < rb : a < b;
               });
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-    std::vector<VarIndex> cols{target};
-    for (const graph::NodeIndex n : nodes) {
-      const std::size_t end = run_begin[n] + space.vars_of(n).size();
-      for (std::size_t i = run_begin[n]; i < end; ++i)
+    s.nodes.erase(std::unique(s.nodes.begin(), s.nodes.end()),
+                  s.nodes.end());
+    auto& cols = s.cols;
+    cols.assign(1, target);
+    for (const graph::NodeIndex n : s.nodes) {
+      const std::size_t end = space.ref_begin(n) + space.vars_of(n).size();
+      for (std::size_t i = space.ref_begin(n); i < end; ++i)
         if (by_ref[i] != target) cols.push_back(by_ref[i]);
     }
     const std::size_t d = cols.size();
@@ -231,20 +260,23 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       min_mark = std::min(min_mark, column[v].mark);
 
     // The block's series, read only when rows are folded or fit.
-    std::vector<const telemetry::TimeSeries*> cs;
+    s.cs.clear();
     const auto series = [&] {
-      if (cs.empty())
-        for (const VarIndex v : cols) cs.push_back(column[v].series);
-      return std::span<const telemetry::TimeSeries* const>(cs);
+      if (s.cs.empty())
+        for (const VarIndex v : cols) s.cs.push_back(space.series(v));
+      return std::span<const telemetry::TimeSeries* const>(s.cs);
     };
     const auto init = [&](MomentBlock& b) {
       b.begin = train_begin;
+      b.cols.clear();
+      b.history.clear();
       for (const VarIndex v : cols) {
         b.cols.push_back(column[v].ref);
         b.history.push_back(column[v].history);
       }
-      b.plain = stats::CrossMoments(d, 1.0);
-      if (decay != 1.0) b.decayed = stats::CrossMoments(d, decay);
+      b.plain.reset(d, 1.0);
+      b.decayed.reset(decay != 1.0 ? d : 0, decay);
+      b.sorted_target.clear();
     };
     // Guards against a slot-key collision: the block is this problem's.
     const auto owns = [&](const MomentBlock& b) {
@@ -256,7 +288,8 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       return true;
     };
     // `reused`: the block already held rows before this request.
-    const auto fit = [&](const MomentBlock& blk, bool reused) {
+    const auto fit = [&](const MomentBlock& blk, bool reused,
+                         CachedFactor& cf) {
 #ifndef MURPHY_OBS_DISABLED
       (reused ? c_block_hits : c_block_misses)->add(1);
 #else
@@ -265,14 +298,47 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
       if (c_cache_misses != nullptr) c_cache_misses->add(1);
       if (c_corr_cells != nullptr) c_corr_cells->add(d - 1);
       if (c_fits != nullptr) c_fits->add(1);
-      CachedFactor cf =
-          fit_block(blk, series(), train_begin, train_end, opts);
+      fit_block(blk, series(), train_begin, train_end, opts, s, cf);
       if (fit_span.enabled()) {
         fit_span.arg("features",
                      static_cast<std::uint64_t>(cf.features.size()));
         fit_span.arg("rows", static_cast<std::uint64_t>(blk.rows()));
       }
-      return cf;
+    };
+    // Bind the factor to this graph's VarIndex space: the conditional, the
+    // kernel entry and the kernel slots of `target`. Its features are
+    // positions in `cols`.
+    const auto bind = [&](const CachedFactor& cf) {
+      MetricConditional& cond = conditionals_[target];
+      cond.target_ = target;
+      cond.model_ = cf.model;
+      cond.hist_mean_ = cf.hist_mean;
+      cond.hist_sigma_ = cf.hist_sigma;
+      cond.robust_center_ = cf.robust_center;
+      cond.robust_sigma_ = cf.robust_sigma;
+      SampleKernel::VarEntry& e = kernel_.vars[target];
+      e.sigma = cond.residual_sigma();
+      const stats::RidgeRegression* r = cf.model.get();
+      if (r == nullptr) {  // no usable features: predict() returns hist_mean
+        e.base = cf.hist_mean;
+      } else {
+        e.base = r->intercept();
+        e.count = static_cast<std::uint32_t>(cf.features.size());
+        assert(slot_begin[target] + e.count <= slot_begin[target + 1]);
+        const stats::Vector& fm = r->feature_means();
+        const stats::Vector& fs = r->feature_scales();
+        const stats::Vector& w = r->standardized_weights();
+        for (std::size_t j = 0; j < cf.features.size(); ++j) {
+          const std::size_t k = slot_begin[target] + j;
+          kernel_.feat[k] = static_cast<std::uint32_t>(cols[cf.features[j]]);
+          kernel_.wdiv[k] = w[j] / fs[j];
+          own_mean[k] = fm[j];
+        }
+      }
+      if (c_pruned != nullptr && cf.considered > cf.features.size())
+        c_pruned->add(cf.considered - cf.features.size());
+      if (h_features != nullptr)
+        h_features->observe(static_cast<double>(cf.features.size()));
     };
 
     // The factor: the slot's memo when it was fit at train_end over the
@@ -281,124 +347,93 @@ FactorSet::FactorSet(const telemetry::MonitoringDb& db,
     // may not keep; that fit becomes the memo. A window that ends before
     // the block's rows gets a transient block built cold, whose fit is not
     // stored.
-    const CachedFactor cf = [&] {
-      MomentBlock transient;
-      bool reused = false;
-      if (opts.moment_store != nullptr) {
-        const std::uint64_t decay_bits = std::bit_cast<std::uint64_t>(decay);
-        std::uint64_t key =
-            hash_mix(hash_mix(0xB10C4B11u, train_begin), decay_bits);
-        std::uint64_t tag =
-            hash_mix(hash_mix(0x7A65C0DEu, decay_bits), train_begin);
-        for (const VarIndex v : cols) {
-          key = hash_mix(key, column[v].digest);
-          tag = hash_mix(tag, column[v].tag);
-        }
-        MomentStore::Slot& slot = opts.moment_store->slot(key);
-        std::unique_lock<std::mutex> held(slot.mu);
-        // The tag stands in for the block's column lists, which a hit
-        // would otherwise read, and for the rows past any append mark.
-        if (slot.memo.end == train_end && slot.memo.tag == tag) {
-          if (c_cache_hits != nullptr) c_cache_hits->add(1);
-          return slot.memo.factor;
-        }
-        MomentBlock& b = slot.block;
-        if (b.cols.empty()) init(b);
-        if (owns(b) && b.end() <= train_end) {
-          reused = b.rows() > 0;
-          b.extend(series(), std::clamp(min_mark, train_begin, train_end));
-          const MomentBlock* blk = &b;
-          if (b.end() < train_end) {
-            transient = b;
-            transient.extend(series(), train_end);
-            blk = &transient;
-          }
-          slot.memo.factor = fit(*blk, reused);
-          slot.memo.end = train_end;
-          slot.memo.tag = tag;
-          return slot.memo.factor;
-        } else {
-          init(transient);
-        }
-      } else {
-        init(transient);
+    MomentBlock& transient = s.transient;
+    bool reused = false;
+    if (opts.moment_store != nullptr) {
+      const std::uint64_t decay_bits = std::bit_cast<std::uint64_t>(decay);
+      std::uint64_t key =
+          hash_mix(hash_mix(0xB10C4B11u, train_begin), decay_bits);
+      std::uint64_t tag =
+          hash_mix(hash_mix(0x7A65C0DEu, decay_bits), train_begin);
+      for (const VarIndex v : cols) {
+        key = hash_mix(key, column[v].digest);
+        tag = hash_mix(tag, column[v].tag);
       }
-      transient.extend(series(), train_end);
-      return fit(transient, reused);
-    }();
-
-    // Bind the factor to this graph's VarIndex space: its features are
-    // positions in `cols`.
-    std::vector<VarIndex> features;
-    features.reserve(cf.features.size());
-    for (const std::size_t c : cf.features) features.push_back(cols[c]);
-    auto cond = std::make_unique<MetricConditional>(
-        target, std::move(features), cf.model, cf.hist_mean, cf.hist_sigma);
-    cond->set_robust(cf.robust_center, cf.robust_sigma);
-    if (c_pruned != nullptr && cf.considered > cf.features.size())
-      c_pruned->add(cf.considered - cf.features.size());
-    if (h_features != nullptr)
-      h_features->observe(static_cast<double>(cf.features.size()));
-    conditionals_[target] = std::move(cond);
+      MomentStore::Slot& slot = opts.moment_store->slot(key);
+      std::unique_lock<std::mutex> held(slot.mu);
+      // The tag stands in for the block's column lists, which a hit
+      // would otherwise read, and for the rows past any append mark.
+      if (slot.memo.end == train_end && slot.memo.tag == tag) {
+        if (c_cache_hits != nullptr) c_cache_hits->add(1);
+        bind(slot.memo.factor);
+        return;
+      }
+      MomentBlock& b = slot.block;
+      if (b.cols.empty()) init(b);
+      if (owns(b) && b.end() <= train_end) {
+        reused = b.rows() > 0;
+        b.extend(series(), std::clamp(min_mark, train_begin, train_end));
+        const MomentBlock* blk = &b;
+        if (b.end() < train_end) {
+          transient = b;
+          transient.extend(series(), train_end);
+          blk = &transient;
+        }
+        fit(*blk, reused, slot.memo.factor);
+        slot.memo.end = train_end;
+        slot.memo.tag = tag;
+        bind(slot.memo.factor);
+        return;
+      }
+    }
+    init(transient);
+    transient.extend(series(), train_end);
+    fit(transient, reused, s.factor);
+    bind(s.factor);
   });
 
-  build_kernel();
+  // Pack the kernel slots in ascending VarIndex order: the first
+  // conditional to use a feature pins its shared mean. fit_weighted()
+  // makes every conditional derive the same mean for a feature, so the
+  // correction is defensive. It is exact algebra:
+  //   wd * (x - fm) = wd * (x - mean[f]) + wd * (mean[f] - fm).
+  // Only differing bits fold, so agreeing kernels stay bit-for-bit.
+  kernel_.mean.assign(nvars, 0.0);
+  std::vector<char> seen(nvars, 0);
+  std::uint32_t packed = 0;
+  for (VarIndex v = 0; v < nvars; ++v) {
+    SampleKernel::VarEntry& e = kernel_.vars[v];
+    if (e.count == 0) continue;
+    double base = e.base;
+    for (std::size_t j = 0; j < e.count; ++j) {
+      const std::size_t k = slot_begin[v] + j;
+      const std::uint32_t f = kernel_.feat[k];
+      const double wd = kernel_.wdiv[k];
+      if (seen[f] == 0) {
+        seen[f] = 1;
+        kernel_.mean[f] = own_mean[k];
+      } else if (std::bit_cast<std::uint64_t>(kernel_.mean[f]) !=
+                 std::bit_cast<std::uint64_t>(own_mean[k])) {
+        base += wd * (kernel_.mean[f] - own_mean[k]);
+      }
+      kernel_.feat[packed + j] = f;
+      kernel_.wdiv[packed + j] = wd;
+    }
+    e.base = base;
+    e.begin = packed;
+    packed += e.count;
+  }
+  kernel_.feat.resize(packed);
+  kernel_.wdiv.resize(packed);
+  for (VarIndex v = 0; v < nvars; ++v)
+    conditionals_[v].features_ = std::span<const std::uint32_t>(
+        kernel_.feat.data() + kernel_.vars[v].begin, kernel_.vars[v].count);
 }
 
 void FactorSet::resample_node(graph::NodeIndex node, const MetricSpace& space,
                               std::vector<double>& state, Rng& rng) const {
   for (const VarIndex v : space.vars_of(node))
-    state[v] = conditionals_[v]->sample(state, rng);
-}
-
-void FactorSet::build_kernel() {
-  const std::size_t n = conditionals_.size();
-  assert(n < std::numeric_limits<std::uint32_t>::max());
-  kernel_.vars.assign(n, {});
-  kernel_.mean.assign(n, 0.0);
-  kernel_.feat.clear();
-  kernel_.wdiv.clear();
-  // Tracks which variables already have their shared mean pinned by an
-  // earlier conditional. The serial ascending-v order makes the build
-  // deterministic.
-  std::vector<char> seen(n, 0);
-  for (VarIndex v = 0; v < n; ++v) {
-    const MetricConditional& c = *conditionals_[v];
-    SampleKernel::VarEntry& e = kernel_.vars[v];
-    // Sample sigma: the residual sigma when a model exists, the historical
-    // sigma otherwise.
-    e.sigma = c.residual_sigma();
-    const stats::RidgeRegression* r = c.model();
-    if (r == nullptr) {  // no usable features: predict() returns hist_mean
-      e.base = c.hist_mean();
-      continue;
-    }
-    const auto features = c.features();
-    const stats::Vector& fm = r->feature_means();
-    const stats::Vector& fs = r->feature_scales();
-    const stats::Vector& w = r->standardized_weights();
-    double base = r->intercept();
-    e.begin = static_cast<std::uint32_t>(kernel_.feat.size());
-    e.count = static_cast<std::uint32_t>(features.size());
-    for (std::size_t j = 0; j < features.size(); ++j) {
-      const VarIndex f = features[j];
-      const double wd = w[j] / fs[j];
-      if (seen[f] == 0) {
-        seen[f] = 1;
-        kernel_.mean[f] = fm[j];
-      } else if (std::bit_cast<std::uint64_t>(kernel_.mean[f]) !=
-                 std::bit_cast<std::uint64_t>(fm[j])) {
-        // fit_weighted() makes every conditional derive the same mean for a
-        // feature, so this is defensive. It is exact algebra:
-        //   wd * (x - fm) = wd * (x - mean[f]) + wd * (mean[f] - fm).
-        // Only differing bits fold, so agreeing kernels stay bit-for-bit.
-        base += wd * (kernel_.mean[f] - fm[j]);
-      }
-      kernel_.feat.push_back(static_cast<std::uint32_t>(f));
-      kernel_.wdiv.push_back(wd);
-    }
-    e.base = base;
-  }
+    state[v] = conditionals_[v].sample(state, rng);
 }
 
 }  // namespace murphy::core

@@ -34,20 +34,16 @@ class ThreadPool;
 namespace murphy::core {
 
 // The learned conditional for ONE variable (one metric of one entity).
+// FactorSet owns them in one flat vector; their features live in the
+// FactorSet's sampling kernel.
 class MetricConditional {
  public:
-  // The model is shared-const: a moment-store slot's memo hands the same
-  // fitted regression to every FactorSet that trains the slot's target
-  // problem at the memo's window.
-  MetricConditional(VarIndex target, std::vector<VarIndex> features,
-                    std::shared_ptr<const stats::RidgeRegression> model,
-                    double hist_mean, double hist_sigma);
-
   // predict() and sample() are safe to call concurrently from many threads
-  // (scratch space is thread-local); the setters are not.
+  // (scratch space is thread-local).
 
   [[nodiscard]] VarIndex target() const { return target_; }
-  [[nodiscard]] std::span<const VarIndex> features() const {
+  // Feature VarIndex values, in selection order.
+  [[nodiscard]] std::span<const std::uint32_t> features() const {
     return features_;
   }
 
@@ -65,10 +61,6 @@ class MetricConditional {
   [[nodiscard]] double hist_sigma() const { return hist_sigma_; }
   [[nodiscard]] double robust_center() const { return robust_center_; }
   [[nodiscard]] double robust_sigma() const { return robust_sigma_; }
-  void set_robust(double center, double sigma) {
-    robust_center_ = center;
-    robust_sigma_ = sigma;
-  }
   // Sampling stddev: the model's residual sigma, or the historical sigma
   // when the variable had no usable features.
   [[nodiscard]] double residual_sigma() const {
@@ -76,18 +68,21 @@ class MetricConditional {
   }
 
   // The fitted model (nullptr when the variable had no usable features).
-  // Exposed so FactorSet can flatten the conditionals into its sampling
-  // kernel.
+  // It is shared-const: a moment-store slot's memo hands the same fitted
+  // regression to every FactorSet that trains the slot's target problem at
+  // the memo's window.
   [[nodiscard]] const stats::RidgeRegression* model() const {
     return model_.get();
   }
 
  private:
-  VarIndex target_;
-  std::vector<VarIndex> features_;
+  friend class FactorSet;
+
+  VarIndex target_ = 0;
+  std::span<const std::uint32_t> features_;
   std::shared_ptr<const stats::RidgeRegression> model_;
-  double hist_mean_;
-  double hist_sigma_;
+  double hist_mean_ = 0.0;
+  double hist_sigma_ = 0.0;
   double robust_center_ = 0.0;
   double robust_sigma_ = 0.0;
 };
@@ -143,8 +138,10 @@ struct FactorTrainingOptions {
 // evaluates mu = base + sum_j wdiv[j] * c[f[j]] with the division folded
 // into the weight — one FMA per slot, rounding differently from predict()
 // (the kernel's contract with the reference is statistical, DESIGN.md §5.1).
-// build_kernel() still checks the shared mean bitwise: a conditional whose
-// own feature mean differs from the shared one gets the exact correction
+// The kernel's assembly still checks the shared mean bitwise: the mean of
+// variable f is pinned by the first conditional, in ascending VarIndex
+// order, that has f as a feature, and a later conditional whose own mean
+// for f differs from it gets the exact correction
 // wdiv[j] * (mean[f] - own_mean[j]) folded into its base, so every
 // conditional is always drawable by the kernel.
 struct SampleKernel {
@@ -157,7 +154,7 @@ struct SampleKernel {
   std::vector<VarEntry> vars;
   std::vector<std::uint32_t> feat;  // feature VarIndex, contiguous per var
   // Pre-divided weight w[k] / scale[k] per slot (standardized-space ridge
-  // weight over the feature's scale), folded once at build_kernel() time.
+  // weight over the feature's scale), folded once per training.
   std::vector<double> wdiv;
   // Shared per-variable centering; 0 for variables that never appear as a
   // feature.
@@ -169,15 +166,22 @@ class FactorSet {
  public:
   // Trains every conditional on the window [train_begin, train_end).
   // Training parallelizes over variables on opts.pool, or else per
-  // opts.num_threads; the trained set is immutable afterwards and safe for
-  // concurrent readers.
+  // opts.num_threads: each target fits from per-worker scratch and writes
+  // its own conditional and kernel entry, and one serial pass then packs
+  // the kernel. The trained set is immutable afterwards and safe for
+  // concurrent readers. Movable, not copyable: conditionals view the
+  // kernel's feature array.
   FactorSet(const telemetry::MonitoringDb& db,
             const graph::RelationshipGraph& graph, const MetricSpace& space,
             TimeIndex train_begin, TimeIndex train_end,
             const FactorTrainingOptions& opts);
+  FactorSet(const FactorSet&) = delete;
+  FactorSet& operator=(const FactorSet&) = delete;
+  FactorSet(FactorSet&&) = default;
+  FactorSet& operator=(FactorSet&&) = default;
 
   [[nodiscard]] const MetricConditional& conditional(VarIndex v) const {
-    return *conditionals_[v];
+    return conditionals_[v];
   }
   [[nodiscard]] std::size_t size() const { return conditionals_.size(); }
 
@@ -193,9 +197,7 @@ class FactorSet {
   }
 
  private:
-  void build_kernel();
-
-  std::vector<std::unique_ptr<MetricConditional>> conditionals_;
+  std::vector<MetricConditional> conditionals_;
   SampleKernel kernel_;
 };
 

@@ -3,96 +3,122 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace murphy::graph {
+
+namespace {
+
+// Counting sort of items [0, m) into n groups by key(i), in item order
+// within each group; the group of k holds val(i) for every i with key k.
+template <typename Adjacency, typename Key, typename Val>
+Adjacency group_by(std::size_t n, std::size_t m, Key key, Val val) {
+  Adjacency g;
+  g.off.assign(n + 1, 0);
+  for (std::size_t i = 0; i < m; ++i) ++g.off[key(i) + 1];
+  for (std::size_t k = 0; k < n; ++k) g.off[k + 1] += g.off[k];
+  g.adj.resize(m);
+  // Fill through off[k] as each group's cursor, then shift the cursors
+  // (now at each group's end) back into begin offsets.
+  for (std::size_t i = 0; i < m; ++i) g.adj[g.off[key(i)]++] = val(i);
+  for (std::size_t k = n; k > 0; --k) g.off[k] = g.off[k - 1];
+  g.off[0] = 0;
+  return g;
+}
+
+}  // namespace
 
 RelationshipGraph RelationshipGraph::build(const telemetry::MonitoringDb& db,
                                            std::span<const EntityId> seeds,
                                            std::size_t max_hops,
                                            std::size_t max_nodes) {
   RelationshipGraph g;
-  std::unordered_map<EntityId, NodeIndex> index;
-
-  auto intern = [&](EntityId id) -> NodeIndex {
-    if (auto it = index.find(id); it != index.end()) return it->second;
-    const NodeIndex n = g.nodes_.size();
+  g.index_.assign(db.entity_count(), kNoNode);
+  const auto intern = [&](EntityId id) {
+    g.index_[id.value()] = static_cast<std::uint32_t>(g.nodes_.size());
     g.nodes_.push_back(id);
-    index.emplace(id, n);
-    return n;
   };
 
   std::vector<EntityId> frontier;
   for (const EntityId seed : seeds) {
     if (!db.has_entity(seed)) continue;
-    if (index.find(seed) == index.end()) {
+    if (g.node_of(seed) == kNoNode) {
       intern(seed);
       frontier.push_back(seed);
     }
   }
 
   // S = neighbors(S) expansion (§4.1), bounded by hop count and node cap.
+  // Neighbors come in association order; a repeat is already interned.
+  std::vector<EntityId> next;
   for (std::size_t hop = 0; hop < max_hops && !frontier.empty(); ++hop) {
-    std::vector<EntityId> next;
+    next.clear();
     for (const EntityId cur : frontier) {
-      for (const EntityId nb : db.neighbors(cur)) {
-        if (index.find(nb) != index.end()) continue;
+      for (const std::size_t i : db.association_indices(cur)) {
+        const telemetry::Association& a = db.association(i);
+        const EntityId nb = a.a == cur ? a.b : a.a;
+        if (!db.has_entity(nb) || g.node_of(nb) != kNoNode) continue;
         if (g.nodes_.size() >= max_nodes) break;
         intern(nb);
         next.push_back(nb);
       }
     }
-    frontier = std::move(next);
+    std::swap(frontier, next);
   }
 
-  // Materialize edges between included nodes. Bidirectional unless the
-  // association carries a known causal direction.
-  std::unordered_set<std::uint64_t> seen;
-  auto edge_key = [](NodeIndex s, NodeIndex d) {
-    return (static_cast<std::uint64_t>(s) << 32) | static_cast<std::uint32_t>(d);
-  };
+  // Materialize edges between included nodes, in association order.
+  // Bidirectional unless the association carries a known causal direction.
   for (std::size_t i = 0; i < db.association_count(); ++i) {
     const telemetry::Association& a = db.association(i);
-    const auto ia = index.find(a.a);
-    const auto ib = index.find(a.b);
-    if (ia == index.end() || ib == index.end()) continue;
-    if (seen.insert(edge_key(ia->second, ib->second)).second)
-      g.add_edge(ia->second, ib->second, a.kind);
-    if (!a.directed && seen.insert(edge_key(ib->second, ia->second)).second)
-      g.add_edge(ib->second, ia->second, a.kind);
+    const std::uint32_t ia = g.node_of(a.a);
+    const std::uint32_t ib = g.node_of(a.b);
+    if (ia == kNoNode || ib == kNoNode) continue;
+    g.edges_.push_back(GraphEdge{ia, ib, a.kind});
+    if (!a.directed) g.edges_.push_back(GraphEdge{ib, ia, a.kind});
   }
+  // Keep the first of each (src, dst): within one source's edges, in edge
+  // order, `last[dst] == src` marks a repeat.
+  const std::size_t n = g.nodes_.size();
+  const auto by_src = group_by<Adjacency>(
+      n, g.edges_.size(), [&](std::size_t e) { return g.edges_[e].src; },
+      [](std::size_t e) { return e; });
+  std::vector<NodeIndex> last(n, kUnreachable);
+  std::vector<char> repeat(g.edges_.size(), 0);
+  for (NodeIndex src = 0; src < n; ++src)
+    for (const std::size_t e : by_src.of(src)) {
+      const NodeIndex dst = g.edges_[e].dst;
+      if (last[dst] == src) repeat[e] = 1;
+      last[dst] = src;
+    }
+  std::size_t kept = 0;
+  for (std::size_t e = 0; e < g.edges_.size(); ++e)
+    if (repeat[e] == 0) g.edges_[kept++] = g.edges_[e];
+  g.edges_.resize(kept);
 
   g.finalize();
   return g;
 }
 
-void RelationshipGraph::add_edge(NodeIndex src, NodeIndex dst,
-                                 telemetry::RelationKind kind) {
-  assert(src < nodes_.size() && dst < nodes_.size());
-  edges_.push_back(GraphEdge{src, dst, kind});
-}
-
 void RelationshipGraph::finalize() {
-  out_.assign(nodes_.size(), {});
-  in_.assign(nodes_.size(), {});
-  for (const GraphEdge& e : edges_) {
-    out_[e.src].push_back(e.dst);
-    in_[e.dst].push_back(e.src);
-  }
+  const std::size_t n = nodes_.size();
+  out_ = group_by<Adjacency>(
+      n, edges_.size(), [&](std::size_t e) { return edges_[e].src; },
+      [&](std::size_t e) { return edges_[e].dst; });
+  in_ = group_by<Adjacency>(
+      n, edges_.size(), [&](std::size_t e) { return edges_[e].dst; },
+      [&](std::size_t e) { return edges_[e].src; });
 }
 
 std::optional<NodeIndex> RelationshipGraph::index_of(EntityId id) const {
-  for (NodeIndex n = 0; n < nodes_.size(); ++n)
-    if (nodes_[n] == id) return n;
-  return std::nullopt;
+  const std::uint32_t n = node_of(id);
+  if (n == kNoNode) return std::nullopt;
+  return n;
 }
 
 namespace {
 
-std::vector<std::size_t> bfs(
-    std::size_t start, std::size_t n,
-    const std::vector<std::vector<NodeIndex>>& adjacency) {
+template <typename Adjacency>
+std::vector<std::size_t> bfs(std::size_t start, std::size_t n,
+                             const Adjacency& adjacency) {
   std::vector<std::size_t> dist(n, kUnreachable);
   std::deque<NodeIndex> queue;
   dist[start] = 0;
@@ -100,7 +126,7 @@ std::vector<std::size_t> bfs(
   while (!queue.empty()) {
     const NodeIndex cur = queue.front();
     queue.pop_front();
-    for (const NodeIndex nb : adjacency[cur]) {
+    for (const NodeIndex nb : adjacency.of(cur)) {
       if (dist[nb] != kUnreachable) continue;
       dist[nb] = dist[cur] + 1;
       queue.push_back(nb);
@@ -146,7 +172,7 @@ std::vector<NodeIndex> RelationshipGraph::shortest_path_subgraph(
     const NodeIndex cur = queue.front();
     queue.pop_front();
     if (d_from[cur] >= bound) continue;  // children would exceed the bound
-    for (const NodeIndex nb : out_[cur]) {
+    for (const NodeIndex nb : out_.of(cur)) {
       if (d_from[nb] != kUnreachable) continue;
       d_from[nb] = d_from[cur] + 1;
       queue.push_back(nb);
@@ -168,7 +194,7 @@ std::vector<NodeIndex> RelationshipGraph::shortest_path_subgraph(
 }
 
 bool RelationshipGraph::has_edge(NodeIndex src, NodeIndex dst) const {
-  const auto& o = out_[src];
+  const auto o = out_.of(src);
   return std::find(o.begin(), o.end(), dst) != o.end();
 }
 
@@ -185,9 +211,9 @@ std::size_t RelationshipGraph::count_3cycles() const {
   // the smallest index on the cycle.
   std::size_t count = 0;
   for (NodeIndex a = 0; a < nodes_.size(); ++a) {
-    for (const NodeIndex b : out_[a]) {
+    for (const NodeIndex b : out_.of(a)) {
       if (b <= a) continue;
-      for (const NodeIndex c : out_[b]) {
+      for (const NodeIndex c : out_.of(b)) {
         if (c <= a || c == b) continue;
         if (has_edge(c, a)) ++count;
       }
@@ -200,7 +226,7 @@ bool RelationshipGraph::on_cycle(NodeIndex n) const {
   // n lies on a directed cycle iff some in-neighbor of n is reachable from n
   // along out-edges.
   const auto d = distances_from(n);
-  for (const NodeIndex pred : in_[n])
+  for (const NodeIndex pred : in_.of(n))
     if (d[pred] != kUnreachable) return true;
   return false;
 }
@@ -218,7 +244,7 @@ std::optional<std::vector<NodeIndex>> RelationshipGraph::topological_order()
     const NodeIndex cur = ready.front();
     ready.pop_front();
     order.push_back(cur);
-    for (const NodeIndex nb : out_[cur])
+    for (const NodeIndex nb : out_.of(cur))
       if (--in_degree[nb] == 0) ready.push_back(nb);
   }
   if (order.size() != nodes_.size()) return std::nullopt;
@@ -233,6 +259,7 @@ RelationshipGraph RelationshipGraph::without_edge(NodeIndex src,
                                                   NodeIndex dst) const {
   RelationshipGraph g;
   g.nodes_ = nodes_;
+  g.index_ = index_;
   for (const GraphEdge& e : edges_)
     if (!(e.src == src && e.dst == dst)) g.edges_.push_back(e);
   g.finalize();
@@ -241,10 +268,12 @@ RelationshipGraph RelationshipGraph::without_edge(NodeIndex src,
 
 RelationshipGraph RelationshipGraph::without_node(NodeIndex n) const {
   RelationshipGraph g;
+  g.index_.assign(index_.size(), kNoNode);
   std::vector<NodeIndex> remap(nodes_.size(), kUnreachable);
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
     if (i == n) continue;
     remap[i] = g.nodes_.size();
+    g.index_[nodes_[i].value()] = static_cast<std::uint32_t>(remap[i]);
     g.nodes_.push_back(nodes_[i]);
   }
   for (const GraphEdge& e : edges_) {

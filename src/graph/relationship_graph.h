@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
@@ -42,16 +43,17 @@ class RelationshipGraph {
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
   [[nodiscard]] EntityId entity_of(NodeIndex n) const { return nodes_[n]; }
+  // O(1): a dense entity-indexed table kept from the build.
   [[nodiscard]] std::optional<NodeIndex> index_of(EntityId id) const;
   [[nodiscard]] std::span<const EntityId> entities() const { return nodes_; }
 
   // Outgoing / incoming neighbor node indices. `in_neighbors(v)` is the
   // in_nbrs(v) of the MRF factor definition.
   [[nodiscard]] std::span<const NodeIndex> out_neighbors(NodeIndex n) const {
-    return out_[n];
+    return out_.of(n);
   }
   [[nodiscard]] std::span<const NodeIndex> in_neighbors(NodeIndex n) const {
-    return in_[n];
+    return in_.of(n);
   }
   [[nodiscard]] std::span<const GraphEdge> edges() const { return edges_; }
 
@@ -102,15 +104,33 @@ class RelationshipGraph {
   [[nodiscard]] RelationshipGraph without_node(NodeIndex n) const;
 
  private:
-  void add_edge(NodeIndex src, NodeIndex dst, telemetry::RelationKind kind);
+  // Compressed adjacency: node n's neighbors are adj[off[n], off[n + 1]),
+  // in edge order.
+  struct Adjacency {
+    std::vector<std::size_t> off;
+    std::vector<NodeIndex> adj;
+    [[nodiscard]] std::span<const NodeIndex> of(NodeIndex n) const {
+      return {adj.data() + off[n], off[n + 1] - off[n]};
+    }
+  };
+
+  // Builds out_/in_ from edges_.
   void finalize();
+  // The node of entity `id`, kNoNode when it is not in the graph.
+  [[nodiscard]] std::uint32_t node_of(EntityId id) const {
+    return id.value() < index_.size() ? index_[id.value()] : kNoNode;
+  }
 
   [[nodiscard]] bool has_edge(NodeIndex src, NodeIndex dst) const;
 
   std::vector<EntityId> nodes_;
   std::vector<GraphEdge> edges_;
-  std::vector<std::vector<NodeIndex>> out_;
-  std::vector<std::vector<NodeIndex>> in_;
+  Adjacency out_;
+  Adjacency in_;
+  // Entity id -> node, dense over the db's entity ids.
+  static constexpr std::uint32_t kNoNode =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> index_;
 };
 
 }  // namespace murphy::graph

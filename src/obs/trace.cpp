@@ -134,21 +134,18 @@ std::string Tracer::to_chrome_json(const TraceExportOptions& opts) const {
 
 void Span::open(Tracer* tracer, std::string_view name, std::uint64_t stream,
                 std::uint64_t parent, bool use_stack) {
-  begin_ = Clock::now();
 #ifdef MURPHY_OBS_DISABLED
-  (void)tracer;
+  tracer = nullptr;
   (void)stream;
   (void)parent;
-  (void)use_stack;
+#endif
   name_ = name;
-#else
-  if (tracer == nullptr) {
-    name_ = name;
-    return;
-  }
+  timed_ = use_stack || tracer != nullptr;
+  if (timed_) begin_ = Clock::now();
+#ifndef MURPHY_OBS_DISABLED
+  if (tracer == nullptr) return;
   tracer_ = tracer;
   buffer_ = tracer->current_buffer();
-  name_ = name;
   parent_ = use_stack ? (buffer_->stack.empty() ? 0 : buffer_->stack.back())
                       : parent;
   id_ = derive_span_id(parent_, name, stream);
@@ -195,6 +192,7 @@ void Span::arg(std::string_view key, bool value) {
 double Span::finish() {
   if (done_) return elapsed_ms_;
   done_ = true;
+  if (!timed_) return elapsed_ms_;
   const auto end = Clock::now();
   elapsed_ms_ =
       std::chrono::duration<double, std::milli>(end - begin_).count();

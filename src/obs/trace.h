@@ -107,7 +107,8 @@ class Span {
   Span(Tracer* tracer, std::string_view name, std::uint64_t stream = 0);
   // Opens a span with an explicit parent id, ignoring the thread stack. Use
   // inside parallel loops, where the enclosing span lives on another
-  // thread's stack.
+  // thread's stack. Such a per-iteration span is free when untraced: with a
+  // null tracer it reads no clock and finish() returns 0.
   Span(Tracer* tracer, std::string_view name, std::uint64_t stream,
        std::uint64_t parent_id);
   ~Span() { finish(); }
@@ -127,8 +128,9 @@ class Span {
   void arg(std::string_view key, bool value);
 
   // Ends the span now (idempotent; the destructor calls it) and returns the
-  // elapsed wall-clock milliseconds. Works with a null tracer too: spans
-  // are the single source of truth for PhaseTimings.
+  // elapsed wall-clock milliseconds. A stack-parented span times with a
+  // null tracer too: such spans are the single source of truth for
+  // PhaseTimings.
   double finish();
 
  private:
@@ -143,6 +145,7 @@ class Span {
   std::chrono::steady_clock::time_point begin_;
   double elapsed_ms_ = 0.0;
   bool done_ = false;
+  bool timed_ = false;
   std::vector<std::pair<std::string, std::string>> args_;
 };
 

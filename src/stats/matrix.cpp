@@ -8,6 +8,12 @@ namespace murphy::stats {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, fill);
+}
+
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;

@@ -19,6 +19,9 @@ class Matrix {
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
+  // Re-dimensions to rows x cols, every cell `fill`, keeping the storage.
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
 

@@ -9,10 +9,18 @@
 
 namespace murphy::stats {
 
-CrossMoments::CrossMoments(std::size_t dims, double decay)
-    : decay_(decay), shift_(dims, 0.0), s1_(dims, 0.0),
-      s2_(dims * (dims + 1) / 2, 0.0) {
+CrossMoments::CrossMoments(std::size_t dims, double decay) {
+  reset(dims, decay);
+}
+
+void CrossMoments::reset(std::size_t dims, double decay) {
   assert(decay > 0.0 && decay <= 1.0);
+  decay_ = decay;
+  rows_ = 0;
+  weight_ = 0.0;
+  shift_.assign(dims, 0.0);
+  s1_.assign(dims, 0.0);
+  s2_.assign(dims * (dims + 1) / 2, 0.0);
 }
 
 std::size_t CrossMoments::tri(std::size_t i, std::size_t j) const {
@@ -64,25 +72,26 @@ double CrossMoments::centered(std::size_t i, std::size_t j) const {
   return i == j ? std::max(c, 0.0) : c;
 }
 
-CenteredMoments CrossMoments::select(std::span<const std::size_t> cols) const {
+void CrossMoments::select(std::span<const std::size_t> cols,
+                          CenteredMoments& m) const {
   const std::size_t k = cols.size();
-  CenteredMoments m;
   m.weight = weight_;
   m.rows = rows_;
   m.mean.resize(k);
-  m.cross = Matrix(k, k);
-  m.magnitude = Matrix(k, k);
+  m.cross.assign(k, k);
+  m.magnitude.assign(k, k);
+  // Both matrices are symmetric bit for bit (a product of doubles does not
+  // depend on operand order): fill the upper triangle and mirror it.
   for (std::size_t a = 0; a < k; ++a) {
     m.mean[a] = mean(cols[a]);
-    for (std::size_t b = 0; b < k; ++b) {
-      m.cross.at(a, b) = centered(cols[a], cols[b]);
-      m.magnitude.at(a, b) =
+    for (std::size_t b = a; b < k; ++b) {
+      m.cross.at(a, b) = m.cross.at(b, a) = centered(cols[a], cols[b]);
+      m.magnitude.at(a, b) = m.magnitude.at(b, a) =
           rows_ == 0 ? 0.0
                      : std::abs(s2_[tri(cols[a], cols[b])]) +
                            std::abs(s1_[cols[a]] * s1_[cols[b]]) / weight_;
     }
   }
-  return m;
 }
 
 }  // namespace murphy::stats

@@ -45,6 +45,8 @@ class CrossMoments {
  public:
   CrossMoments() = default;
   CrossMoments(std::size_t dims, double decay);
+  // Empties the moments and re-dimensions them, keeping their storage.
+  void reset(std::size_t dims, double decay);
 
   [[nodiscard]] std::size_t dims() const { return s1_.size(); }
   [[nodiscard]] std::size_t rows() const { return rows_; }
@@ -57,8 +59,9 @@ class CrossMoments {
   [[nodiscard]] double mean(std::size_t i) const;
   // Centered cross-product of columns i and j; the diagonal is clamped at 0.
   [[nodiscard]] double centered(std::size_t i, std::size_t j) const;
-  // Centered moments of `cols` (in that order).
-  [[nodiscard]] CenteredMoments select(std::span<const std::size_t> cols) const;
+  // Centered moments of `cols` (in that order), into `out`, whose storage
+  // is reused.
+  void select(std::span<const std::size_t> cols, CenteredMoments& out) const;
 
  private:
   [[nodiscard]] std::size_t tri(std::size_t i, std::size_t j) const;

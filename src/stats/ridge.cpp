@@ -201,30 +201,33 @@ void RidgeRegression::fit_moments(
   y_mean_ = fit.mean[0];
 
   // The Gram matrix and X^T y of the standardized, sqrt(w)-scaled design:
-  // the centered moments divided by the column scales.
-  Matrix a(p, p);
-  Vector b(p);
+  // the centered moments divided by the column scales. Factored in place in
+  // per-thread scratch (a fit runs per target, thousands per diagnosis).
+  thread_local Matrix a;
+  thread_local Vector b;
+  a.assign(p, p);
+  b.assign(p, 0.0);
+  // Symmetric like `fit.cross`: the upper triangle, mirrored.
   for (std::size_t j = 0; j < p; ++j) {
-    for (std::size_t l = 0; l < p; ++l)
-      a.at(j, l) =
+    for (std::size_t l = j; l < p; ++l)
+      a.at(j, l) = a.at(l, j) =
           fit.cross.at(j + 1, l + 1) / (feat_scale_[j] * feat_scale_[l]);
     b[j] = fit.cross.at(0, j + 1) / feat_scale_[j];
   }
   const double lambda = l2_ * std::max(1.0, w_total) / 256.0;
   for (std::size_t j = 0; j < p; ++j) a.at(j, j) += lambda + 1e-9;
-  auto solved = solve_spd(a, b);
-  if (solved &&
-      std::any_of(solved->begin(), solved->end(),
+  w_ = cholesky(a) ? cholesky_solve(a, b) : Vector(p, 0.0);
+  if (std::any_of(w_.begin(), w_.end(),
                   [](double w) { return !std::isfinite(w); }))
-    solved.reset();
-  w_ = solved ? std::move(*solved) : Vector(p, 0.0);
+    w_.assign(p, 0.0);
   fitted_ = true;
 
   // Residual variance = Var(y - sum_j beta_j x_j) over the plain block:
   // u^T C u with u = (1, -beta), beta_j = w_j / scale_j.
   sigma_ = 0.0;
   if (plain.rows < 2) return;
-  Vector u(p + 1);
+  thread_local Vector u;
+  u.resize(p + 1);
   u[0] = 1.0;
   for (std::size_t j = 0; j < p; ++j) u[j + 1] = -w_[j] / feat_scale_[j];
   double q = 0.0;

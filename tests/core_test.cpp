@@ -3,13 +3,18 @@
 // end-to-end diagnoser on both microservice and enterprise scenarios.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <new>
+#include <numeric>
+#include <random>
 #include <thread>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
+#include "src/common/thread_pool.h"
 #include "src/core/anomaly.h"
 #include "src/core/batch.h"
 #include "src/core/explain.h"
@@ -1027,6 +1032,208 @@ TEST(MomentStore, GenerationResetAndPruneDropBlocks) {
 #else
   (void)before;
 #endif
+}
+
+// --- flat per-request structures ---------------------------------------------
+
+// Reference kernel: one serial pass over the trained conditionals in
+// ascending VarIndex order, the first use of a feature pinning its shared
+// mean.
+SampleKernel reference_kernel(const FactorSet& factors) {
+  SampleKernel k;
+  const std::size_t n = factors.size();
+  k.vars.assign(n, {});
+  k.mean.assign(n, 0.0);
+  std::vector<char> seen(n, 0);
+  for (VarIndex v = 0; v < n; ++v) {
+    const MetricConditional& c = factors.conditional(v);
+    SampleKernel::VarEntry& e = k.vars[v];
+    e.sigma = c.residual_sigma();
+    const stats::RidgeRegression* r = c.model();
+    if (r == nullptr) {
+      e.base = c.hist_mean();
+      continue;
+    }
+    const auto features = c.features();
+    double base = r->intercept();
+    e.begin = static_cast<std::uint32_t>(k.feat.size());
+    e.count = static_cast<std::uint32_t>(features.size());
+    for (std::size_t j = 0; j < features.size(); ++j) {
+      const VarIndex f = features[j];
+      const double fm = r->feature_means()[j];
+      const double wd = r->standardized_weights()[j] / r->feature_scales()[j];
+      if (seen[f] == 0) {
+        seen[f] = 1;
+        k.mean[f] = fm;
+      } else if (std::bit_cast<std::uint64_t>(k.mean[f]) !=
+                 std::bit_cast<std::uint64_t>(fm)) {
+        base += wd * (k.mean[f] - fm);
+      }
+      k.feat.push_back(static_cast<std::uint32_t>(f));
+      k.wdiv.push_back(wd);
+    }
+    e.base = base;
+  }
+  return k;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+void expect_same_kernel(const SampleKernel& a, const SampleKernel& b) {
+  ASSERT_EQ(a.vars.size(), b.vars.size());
+  for (std::size_t v = 0; v < a.vars.size(); ++v) {
+    SCOPED_TRACE("var " + std::to_string(v));
+    EXPECT_EQ(a.vars[v].begin, b.vars[v].begin);
+    EXPECT_EQ(a.vars[v].count, b.vars[v].count);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.vars[v].base),
+              std::bit_cast<std::uint64_t>(b.vars[v].base));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.vars[v].sigma),
+              std::bit_cast<std::uint64_t>(b.vars[v].sigma));
+  }
+  EXPECT_EQ(a.feat, b.feat);
+  EXPECT_EQ(bits_of(a.wdiv), bits_of(b.wdiv));
+  EXPECT_EQ(bits_of(a.mean), bits_of(b.mean));
+}
+
+TEST(FactorSet, KernelAndConditionalsBitwiseAtOneAndThreePoolThreads) {
+  // Each target writes its own conditional and kernel entry inside the
+  // parallel loop; the packed kernel equals the serial reference assembly,
+  // and the conditionals view its feature runs. Cold, fitting through a
+  // store and copying memos, on 1 and 3 threads, all agree to the bit.
+  const IncidentSpace f;
+  const TimeIndex end = f.inc.incident_end;
+  ThreadPool pool(2);
+  for (const double half_life : {0.0, 24.0}) {
+    SCOPED_TRACE("half-life " + std::to_string(half_life));
+    const FactorSet serial = f.train(0, end, nullptr, 1, half_life);
+    expect_same_kernel(serial.kernel(), reference_kernel(serial));
+    for (VarIndex v = 0; v < serial.size(); ++v) {
+      const SampleKernel::VarEntry& e = serial.kernel().vars[v];
+      const auto features = serial.conditional(v).features();
+      EXPECT_EQ(features.size(), e.count);
+      if (e.count > 0)
+        EXPECT_EQ(features.data(), serial.kernel().feat.data() + e.begin);
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(p == nullptr ? "1 thread" : "3 pool threads");
+      FactorTrainingOptions opts;
+      opts.pool = p;
+      opts.recency_half_life = half_life;
+      const FactorSet cold(f.inc.topo.db, f.graph, f.space, 0, end, opts);
+      MomentStore store;
+      opts.moment_store = &store;
+      const FactorSet fitted(f.inc.topo.db, f.graph, f.space, 0, end, opts);
+      const FactorSet memo(f.inc.topo.db, f.graph, f.space, 0, end, opts);
+      for (const FactorSet* set : {&cold, &fitted, &memo}) {
+        expect_same_factors(*set, serial);
+        expect_same_kernel(set->kernel(), serial.kernel());
+      }
+    }
+  }
+}
+
+TEST(MetricSpace, MatchesHashMapReferenceOnRandomDbs) {
+  // Kinds are recorded in a shuffled order per entity, so a node's run (the
+  // store's kind order) and the (entity, kind) order differ.
+  std::mt19937_64 rng(7);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    MonitoringDb db;
+    db.metrics().set_axis(TimeAxis(0.0, 10.0, 16));
+    std::vector<MetricKindId> kinds;
+    for (int k = 0; k < 6; ++k)
+      kinds.push_back(db.catalog().intern("kind" + std::to_string(k)));
+    const std::size_t n = 2 + below(20);
+    std::vector<EntityId> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(db.add_entity(EntityType::kVm, "e" + std::to_string(i)));
+      std::vector<MetricKindId> mine = kinds;
+      std::shuffle(mine.begin(), mine.end(), rng);
+      mine.resize(below(kinds.size() + 1));
+      for (const MetricKindId k : mine) {
+        if (below(3) == 0) {
+          db.metrics().upsert_cell(ids.back(), k, below(16),
+                                   static_cast<double>(rng() % 1000));
+        } else {
+          std::vector<double> values(16);
+          for (double& x : values) x = static_cast<double>(rng() % 1000) / 7.0;
+          db.metrics().put(ids.back(), k, values);
+        }
+      }
+    }
+    for (std::size_t i = 0; i < 2 * n; ++i)
+      db.add_association(ids[below(n)], ids[below(n)], RelationKind::kGeneric);
+    const auto graph = graph::RelationshipGraph::build(
+        db, std::vector<EntityId>{ids[below(n)]}, 3);
+    const MetricSpace space(db, graph);
+
+    // Reference: node order, then the store's kind order; a hash index.
+    std::vector<MetricSpace::Var> vars;
+    std::vector<std::vector<VarIndex>> node_vars(graph.node_count());
+    std::unordered_map<MetricRef, VarIndex> index;
+    for (graph::NodeIndex node = 0; node < graph.node_count(); ++node)
+      for (const MetricKindId k : db.metrics().kinds_of(graph.entity_of(node))) {
+        node_vars[node].push_back(vars.size());
+        index.emplace(MetricRef{graph.entity_of(node), k}, vars.size());
+        vars.push_back({node, graph.entity_of(node), k});
+      }
+    ASSERT_EQ(space.size(), vars.size());
+    for (VarIndex v = 0; v < vars.size(); ++v) {
+      EXPECT_EQ(space.var(v).node, vars[v].node);
+      EXPECT_EQ(space.var(v).entity, vars[v].entity);
+      EXPECT_EQ(space.var(v).kind, vars[v].kind);
+      EXPECT_EQ(space.series(v),
+                db.metrics().find(vars[v].entity, vars[v].kind));
+    }
+    for (graph::NodeIndex node = 0; node < graph.node_count(); ++node) {
+      const auto run = space.vars_of(node);
+      std::vector<VarIndex> got;
+      for (const VarIndex v : run) got.push_back(v);
+      EXPECT_EQ(got, node_vars[node]);
+      const auto by_ref = space.by_ref().subspan(space.ref_begin(node),
+                                                 run.size());
+      for (std::size_t i = 0; i < by_ref.size(); ++i)
+        EXPECT_EQ(space.var(by_ref[i]).node, node);
+    }
+    std::vector<VarIndex> sorted(vars.size());
+    std::iota(sorted.begin(), sorted.end(), VarIndex{0});
+    std::sort(sorted.begin(), sorted.end(), [&](VarIndex a, VarIndex b) {
+      return MetricRef{vars[a].entity, vars[a].kind} <
+             MetricRef{vars[b].entity, vars[b].kind};
+    });
+    EXPECT_TRUE(std::equal(sorted.begin(), sorted.end(),
+                           space.by_ref().begin(), space.by_ref().end()));
+    for (const EntityId e : ids)
+      for (const MetricKindId k : kinds) {
+        const auto it = index.find(MetricRef{e, k});
+        const auto found = space.find(e, k);
+        if (it == index.end()) {
+          EXPECT_FALSE(found.has_value());
+        } else {
+          ASSERT_TRUE(found.has_value());
+          EXPECT_EQ(*found, it->second);
+        }
+      }
+    EXPECT_FALSE(space.find(ids[0], MetricKindId(99)).has_value());
+    for (const TimeIndex t : {TimeIndex{0}, TimeIndex{7}, TimeIndex{15}}) {
+      std::vector<double> expected(vars.size(), 0.0);
+      for (VarIndex v = 0; v < vars.size(); ++v)
+        if (const auto* ts = db.metrics().find(vars[v].entity, vars[v].kind))
+          expected[v] = ts->value_or(t, 0.0);
+      EXPECT_EQ(bits_of(space.snapshot(db, t)), bits_of(expected));
+    }
+    for (VarIndex v = 0; v < vars.size(); ++v)
+      EXPECT_EQ(bits_of(space.history(db, v, 3, 11)),
+                bits_of(db.metrics().find(vars[v].entity, vars[v].kind)
+                            ->window(3, 11, 0.0)));
+  }
 }
 
 }  // namespace

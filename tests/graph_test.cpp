@@ -2,6 +2,11 @@
 // edge materialization, path subgraphs, cycle census and degradation copies.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <unordered_map>
+#include <unordered_set>
+
 #include "src/graph/relationship_graph.h"
 #include "src/telemetry/monitoring_db.h"
 
@@ -249,6 +254,160 @@ TEST_F(Fig1Graph, DistancesFromAndTo) {
   EXPECT_EQ(d[*g.index_of(backend1_)], 4u);
   const auto dt = g.distances_to(*g.index_of(backend1_));
   EXPECT_EQ(dt[*g.index_of(crawler_)], 4u);
+}
+
+// --- the flat build against a hash-map reference ----------------------------
+
+// Reference build over hash maps, nested adjacency vectors and a hash set
+// for edge dedup: the oracle for node numbering and edge order.
+struct ReferenceGraph {
+  std::vector<EntityId> nodes;
+  std::vector<GraphEdge> edges;
+  std::vector<std::vector<NodeIndex>> out, in;
+};
+
+ReferenceGraph reference_build(const MonitoringDb& db,
+                               std::span<const EntityId> seeds,
+                               std::size_t max_hops, std::size_t max_nodes) {
+  ReferenceGraph g;
+  std::unordered_map<EntityId, NodeIndex> index;
+  auto intern = [&](EntityId id) {
+    index.emplace(id, g.nodes.size());
+    g.nodes.push_back(id);
+  };
+  std::vector<EntityId> frontier;
+  for (const EntityId seed : seeds) {
+    if (!db.has_entity(seed)) continue;
+    if (index.find(seed) == index.end()) {
+      intern(seed);
+      frontier.push_back(seed);
+    }
+  }
+  for (std::size_t hop = 0; hop < max_hops && !frontier.empty(); ++hop) {
+    std::vector<EntityId> next;
+    for (const EntityId cur : frontier) {
+      for (const EntityId nb : db.neighbors(cur)) {
+        if (index.find(nb) != index.end()) continue;
+        if (g.nodes.size() >= max_nodes) break;
+        intern(nb);
+        next.push_back(nb);
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::unordered_set<std::uint64_t> seen;
+  auto key = [](NodeIndex s, NodeIndex d) {
+    return (static_cast<std::uint64_t>(s) << 32) | static_cast<std::uint32_t>(d);
+  };
+  for (std::size_t i = 0; i < db.association_count(); ++i) {
+    const telemetry::Association& a = db.association(i);
+    const auto ia = index.find(a.a);
+    const auto ib = index.find(a.b);
+    if (ia == index.end() || ib == index.end()) continue;
+    if (seen.insert(key(ia->second, ib->second)).second)
+      g.edges.push_back(GraphEdge{ia->second, ib->second, a.kind});
+    if (!a.directed && seen.insert(key(ib->second, ia->second)).second)
+      g.edges.push_back(GraphEdge{ib->second, ia->second, a.kind});
+  }
+  g.out.assign(g.nodes.size(), {});
+  g.in.assign(g.nodes.size(), {});
+  for (const GraphEdge& e : g.edges) {
+    g.out[e.src].push_back(e.dst);
+    g.in[e.dst].push_back(e.src);
+  }
+  return g;
+}
+
+void expect_same_graph(const RelationshipGraph& g, const ReferenceGraph& r,
+                       const MonitoringDb& db) {
+  ASSERT_EQ(g.node_count(), r.nodes.size());
+  for (NodeIndex n = 0; n < r.nodes.size(); ++n) {
+    ASSERT_EQ(g.entity_of(n), r.nodes[n]) << "node " << n;
+    const auto out = g.out_neighbors(n);
+    const auto in = g.in_neighbors(n);
+    EXPECT_EQ(std::vector<NodeIndex>(out.begin(), out.end()), r.out[n]);
+    EXPECT_EQ(std::vector<NodeIndex>(in.begin(), in.end()), r.in[n]);
+  }
+  ASSERT_EQ(g.edge_count(), r.edges.size());
+  for (std::size_t i = 0; i < r.edges.size(); ++i) {
+    EXPECT_EQ(g.edges()[i].src, r.edges[i].src) << "edge " << i;
+    EXPECT_EQ(g.edges()[i].dst, r.edges[i].dst) << "edge " << i;
+    EXPECT_EQ(g.edges()[i].kind, r.edges[i].kind) << "edge " << i;
+  }
+  // index_of is the inverse of entity_of, and nullopt off the graph.
+  for (std::uint32_t id = 0; id <= db.entity_count(); ++id) {
+    const auto it = std::find(r.nodes.begin(), r.nodes.end(), EntityId(id));
+    const auto n = g.index_of(EntityId(id));
+    if (it == r.nodes.end()) {
+      EXPECT_FALSE(n.has_value()) << "entity " << id;
+    } else {
+      ASSERT_TRUE(n.has_value()) << "entity " << id;
+      EXPECT_EQ(*n, static_cast<NodeIndex>(it - r.nodes.begin()));
+    }
+  }
+  EXPECT_FALSE(g.index_of(EntityId::invalid()).has_value());
+}
+
+TEST(RelationshipGraph, BuildMatchesHashMapReferenceOnRandomDbs) {
+  // Random dbs with repeated pairs (same and reversed direction, directed
+  // and undirected), removed associations and entities, under hop bounds
+  // and node caps that cut the expansion mid-frontier.
+  std::mt19937_64 rng(20231021);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  constexpr RelationKind kKinds[] = {RelationKind::kGeneric,
+                                     RelationKind::kFlowEndpoint,
+                                     RelationKind::kVmOnHost,
+                                     RelationKind::kCallerCallee};
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    MonitoringDb db;
+    const std::size_t n = 2 + below(40);
+    std::vector<EntityId> ids;
+    for (std::size_t i = 0; i < n; ++i)
+      ids.push_back(db.add_entity(EntityType::kVm, "e" + std::to_string(i)));
+    const std::size_t m = below(3 * n);
+    for (std::size_t i = 0; i < m; ++i) {
+      const EntityId a = ids[below(n)];
+      const EntityId b = ids[below(n)];
+      const RelationKind kind = kKinds[below(4)];
+      const bool directed = below(3) == 0;
+      db.add_association(a, b, kind, directed);  // self-loops are dropped
+      if (below(4) == 0) db.add_association(a, b, kind, !directed);
+      if (below(4) == 0) db.add_association(b, a, kind, directed);
+    }
+    for (std::size_t i = below(3); i > 0 && db.association_count() > 0; --i)
+      db.remove_association(below(db.association_count()));
+    if (below(2) == 0) db.remove_entity(ids[below(n)]);
+
+    std::vector<EntityId> seeds;
+    for (std::size_t i = 1 + below(3); i > 0; --i) seeds.push_back(ids[below(n)]);
+    if (below(4) == 0) seeds.push_back(seeds.front());  // a repeated seed
+    for (const std::size_t hops : {0u, 1u, 2u, 4u}) {
+      for (const std::size_t cap : {std::size_t{1}, std::size_t{3},
+                                    n / 2 + 1, std::size_t{100000}}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " hops " +
+                     std::to_string(hops) + " cap " + std::to_string(cap));
+        const auto g = RelationshipGraph::build(db, seeds, hops, cap);
+        expect_same_graph(g, reference_build(db, seeds, hops, cap), db);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 60u * 16u);
+}
+
+TEST_F(Fig1Graph, DegradedCopiesKeepTheEntityIndex) {
+  const EntityId seeds[] = {crawler_};
+  const auto g = RelationshipGraph::build(db_, seeds, 10);
+  const auto cut = g.without_edge(*g.index_of(flow1_), *g.index_of(frontend_));
+  for (NodeIndex n = 0; n < g.node_count(); ++n)
+    EXPECT_EQ(cut.index_of(g.entity_of(n)), n);
+  const auto less = g.without_node(*g.index_of(flow2_));
+  for (NodeIndex n = 0; n < less.node_count(); ++n)
+    EXPECT_EQ(less.index_of(less.entity_of(n)), n);
+  EXPECT_FALSE(less.index_of(flow2_).has_value());
 }
 
 }  // namespace

@@ -77,6 +77,15 @@ TEST(Json, RejectsMalformedAndTrailingGarbage) {
 
 // ---------- span tracer ----------------------------------------------------
 
+// A span with an explicit parent sits inside a loop (a target's fit, a
+// candidate's evaluation): untraced, it reads no clock at all.
+TEST(Tracer, UntracedPerIterationSpanIsFree) {
+  Span span(nullptr, "item", 3, /*parent_id=*/42);
+  EXPECT_FALSE(span.enabled());
+  span.arg("ignored", 1.0);
+  EXPECT_EQ(span.finish(), 0.0);
+}
+
 #ifdef MURPHY_OBS_DISABLED
 
 // Compiled-out build (-DMURPHY_OBS_COMPILED_OUT=ON): spans must not record,
